@@ -47,7 +47,7 @@ Percentile(std::vector<uint64_t> sorted_us, double p)
 int
 Run()
 {
-    const chaos::CampaignSpec spec;  // the standard drill shape
+    const chaos::DrillSpec spec;  // the standard capture drill shape
 
     // The fault-free drill establishes what "everything survived" means.
     util::StatusOr<chaos::SeedResult> baseline =
@@ -73,7 +73,7 @@ Run()
     uint64_t drills = 0;
 
     for (const CampaignRow& row : rows) {
-        chaos::CampaignSpec row_spec = spec;
+        chaos::DrillSpec row_spec = spec;
         row_spec.campaigns = row.campaigns;
 
         double survival_min = 100.0;

@@ -165,17 +165,17 @@ Run()
                   std::to_string(shed), "jobs"});
 
     // -- 3. kill-restart recovery campaign ---------------------------------
-    chaos::ServeCampaignSpec spec;
+    chaos::DrillSpec spec(chaos::DrillFamily::kServe);
     spec.campaigns = {"powercut", "enospc", "torn-rename"};
     spec.jobs = 3;
     spec.max_instructions = 4000;
-    util::StatusOr<chaos::ServeCampaignResult> campaign =
-        chaos::RunServeCampaign(spec, /*first_seed=*/1, /*seeds=*/10,
-                                [](const chaos::ServeSeedResult& r) {
-                                    if (!r.ok())
-                                        Fatal("A12: invariant violated: ",
-                                              r.Summary());
-                                });
+    util::StatusOr<chaos::CampaignResult> campaign =
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/10,
+                           [](const chaos::SeedResult& r) {
+                               if (!r.ok())
+                                   Fatal("A12: invariant violated: ",
+                                         r.Summary());
+                           });
     if (!campaign.ok())
         Fatal("A12: campaign failed to run: ",
               campaign.status().ToString());
@@ -223,18 +223,18 @@ Run()
                   std::to_string(dup_hits),
                   "of " + std::to_string(kDupBurst) + " sends"});
 
-    chaos::NetCampaignSpec net_spec;
+    chaos::DrillSpec net_spec(chaos::DrillFamily::kNet);
     net_spec.campaigns = {"net-flaky", "net-cut", "net-flip",
                           "net-stall", "net-dup", "net-kill"};
-    net_spec.submits = 3;
+    net_spec.jobs = 3;
     net_spec.max_instructions = 2000;
-    util::StatusOr<chaos::NetCampaignResult> net_campaign =
-        chaos::RunNetCampaign(net_spec, /*first_seed=*/1, /*seeds=*/10,
-                              [](const chaos::NetSeedResult& r) {
-                                  if (!r.ok())
-                                      Fatal("A12: net invariant violated: ",
-                                            r.Summary());
-                              });
+    util::StatusOr<chaos::CampaignResult> net_campaign =
+        chaos::RunCampaign(net_spec, /*first_seed=*/1, /*seeds=*/10,
+                           [](const chaos::SeedResult& r) {
+                               if (!r.ok())
+                                   Fatal("A12: net invariant violated: ",
+                                         r.Summary());
+                           });
     if (!net_campaign.ok())
         Fatal("A12: net campaign failed to run: ",
               net_campaign.status().ToString());

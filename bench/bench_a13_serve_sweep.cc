@@ -266,20 +266,20 @@ Run()
                   "rows"});
 
     // -- 4. kill-restart sweep campaign ------------------------------------
-    chaos::ServeCampaignSpec spec;
+    chaos::DrillSpec spec(chaos::DrillFamily::kServe);
     spec.campaigns = {"powercut", "enospc", "torn-rename"};
     spec.jobs = 2;
     spec.max_instructions = 2000;
     spec.buffer_bytes = 8u << 10;
     spec.sweeps = 2;
     spec.sweep_configs = 3;
-    util::StatusOr<chaos::ServeCampaignResult> campaign =
-        chaos::RunServeCampaign(spec, /*first_seed=*/1, /*seeds=*/10,
-                                [](const chaos::ServeSeedResult& r) {
-                                    if (!r.ok())
-                                        Fatal("A13: invariant violated: ",
-                                              r.Summary());
-                                });
+    util::StatusOr<chaos::CampaignResult> campaign =
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/10,
+                           [](const chaos::SeedResult& r) {
+                               if (!r.ok())
+                                   Fatal("A13: invariant violated: ",
+                                         r.Summary());
+                           });
     if (!campaign.ok())
         Fatal("A13: campaign failed to run: ",
               campaign.status().ToString());

@@ -284,6 +284,26 @@ expect_exit 2 "$BUILD/tools/atum-chaos" --no-such-flag
 expect_exit 2 "$BUILD/tools/atum-chaos" --campaign powercut --seeds 0
 expect_exit 3 "$BUILD/tools/atum-chaos" --replay "$TMP/absent.schedule"
 
+# A family's own shape flags are usage errors outside that family, not
+# silently ignored; minimizing is the default, so --minimize is gone.
+expect_exit 2 "$BUILD/tools/atum-chaos" --campaign powercut --sweeps
+expect_exit 2 "$BUILD/tools/atum-chaos" --campaign powercut --sweep-configs 2
+expect_exit 2 "$BUILD/tools/atum-chaos" --campaign powercut --jobs 2
+expect_exit 2 "$BUILD/tools/atum-chaos" --net --jobs 2
+expect_exit 2 "$BUILD/tools/atum-chaos" --serve --campaign powercut --submits 2
+expect_exit 2 "$BUILD/tools/atum-chaos" --serve --campaign powercut --attempts 2
+expect_exit 2 "$BUILD/tools/atum-chaos" --campaign powercut --minimize
+
+# One small campaign per drill family; the aggregate tallies are pinned
+# byte for byte, so a driver change that re-scripts any seed shows here.
+{
+    "$BUILD/tools/atum-chaos" --campaign powercut,enospc --seeds 4
+    "$BUILD/tools/atum-chaos" --serve --campaign powercut --seeds 4
+    "$BUILD/tools/atum-chaos" --serve --sweeps --seeds 4
+    "$BUILD/tools/atum-chaos" --net --seeds 4
+} > "$TMP/tallies.txt" 2> /dev/null
+diff -u "$SRC/tests/golden/chaos_tallies.txt" "$TMP/tallies.txt"
+
 # --probe prints the op counts schedules are aimed into.
 expect_exit 0 "$BUILD/tools/atum-chaos" --probe --max-instructions 60000
 grep -q "^writes " "$TMP/out.txt"

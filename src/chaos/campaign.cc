@@ -33,7 +33,7 @@ constexpr char kTracePath[] = "trace.atf2";
 constexpr char kCkptBase[] = "ckpt";
 
 cpu::Machine::Config
-MachineConfigFor(const CampaignSpec&)
+MachineConfigFor(const DrillSpec&)
 {
     cpu::Machine::Config config;
     config.mem_bytes = 2u << 20;
@@ -42,7 +42,7 @@ MachineConfigFor(const CampaignSpec&)
 }
 
 core::AtumConfig
-TracerConfigFor(const CampaignSpec& spec)
+TracerConfigFor(const DrillSpec& spec)
 {
     core::AtumConfig config;
     config.buffer_bytes = spec.buffer_bytes;
@@ -95,7 +95,7 @@ struct CaptureOutcome {
 };
 
 CaptureOutcome
-RunCapture(const CampaignSpec& spec, io::ChaosVfs& vfs)
+RunCapture(const DrillSpec& spec, io::ChaosVfs& vfs)
 {
     CaptureOutcome out;
     const cpu::Machine::Config mconfig = MachineConfigFor(spec);
@@ -176,22 +176,9 @@ Fail(SeedResult& r, const char* invariant, std::string detail)
     r.violations.push_back(InvariantViolation{invariant, std::move(detail)});
 }
 
-void
-Fail(ServeSeedResult& r, const char* invariant, std::string detail)
-{
-    r.violations.push_back(InvariantViolation{invariant, std::move(detail)});
-}
-
-void
-Fail(NetSeedResult& r, const char* invariant, std::string detail)
-{
-    r.violations.push_back(InvariantViolation{invariant, std::move(detail)});
-}
-
 /** Round-trips the salvaged records through a fresh container. */
-template <typename Result>
 void
-CheckSalvageRoundTrip(Result& r, const TraceFacts& facts)
+CheckSalvageRoundTrip(SeedResult& r, const TraceFacts& facts)
 {
     if (facts.records.empty())
         return;
@@ -310,7 +297,7 @@ CheckSalvagedTrace(SeedResult& r, const TraceFacts& facts,
  * this subsystem exists to catch.
  */
 void
-RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
+RecoverAfterCut(const DrillSpec& spec, SeedResult& r,
                 const CaptureOutcome& cap, io::MemVfs& rebooted,
                 bool has_damage, bool has_short)
 {
@@ -344,7 +331,7 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
                  "durable trace unreadable: " + facts.status().ToString());
             return;
         }
-        r.salvaged = facts->file_exists;
+        r.salvages = facts->file_exists ? 1 : 0;
         r.data_records = facts->data;
         CheckSalvagedTrace(r, *facts, cap.tracer_records, has_damage,
                            has_short);
@@ -390,7 +377,7 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
              "recovered trace unreadable: " + facts.status().ToString());
         return;
     }
-    r.resumed = true;
+    r.resumes = 1;
     r.data_records = facts->data;
     r.lost_records = tracer.lost_records();
     CheckAccountedTrace(r, *facts, tracer.records(), tracer.lost_records(),
@@ -399,7 +386,7 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
 }
 
 // ---------------------------------------------------------------------------
-// Serve kill-restart drills (campaign.h §serve).
+// Serve kill-restart drills (DrillFamily::kServe).
 
 /**
  * The deterministic request script one seed drives into the daemon:
@@ -421,7 +408,7 @@ struct ServePlan {
 };
 
 ServePlan
-MakeServePlan(const ServeCampaignSpec& spec, uint64_t seed)
+MakeServePlan(const DrillSpec& spec, uint64_t seed)
 {
     std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 0xA7ull);
     ServePlan plan;
@@ -452,7 +439,7 @@ MakeServePlan(const ServeCampaignSpec& spec, uint64_t seed)
  * bad row — the sweep must isolate it, not die of it.
  */
 std::vector<serve::SweepConfigSpec>
-SweepConfigsFor(const ServeCampaignSpec& spec, uint32_t s, bool inject_bad)
+SweepConfigsFor(const DrillSpec& spec, uint32_t s, bool inject_bad)
 {
     std::vector<serve::SweepConfigSpec> configs;
     const uint32_t n = spec.sweep_configs > 0 ? spec.sweep_configs : 1;
@@ -489,7 +476,7 @@ SweepConfigsFor(const ServeCampaignSpec& spec, uint32_t s, bool inject_bad)
 }
 
 serve::ServeConfig
-ServeConfigFor(const ServeCampaignSpec& spec)
+ServeConfigFor(const DrillSpec& spec)
 {
     serve::ServeConfig config;
     config.dir = ".";    // flat MemVfs names, like the capture drills
@@ -528,8 +515,7 @@ AckedId(const std::string& response)
  * because a SIGKILLed process executes nothing further.
  */
 ServeGeneration
-RunServeScript(const ServeCampaignSpec& spec, uint64_t seed,
-               io::ChaosVfs& vfs)
+RunServeScript(const DrillSpec& spec, uint64_t seed, io::ChaosVfs& vfs)
 {
     const ServePlan plan = MakeServePlan(spec, seed);
     ServeGeneration gen;
@@ -603,8 +589,7 @@ RunServeScript(const ServeCampaignSpec& spec, uint64_t seed,
  * work on a healthy disk.
  */
 std::vector<serve::JobInfo>
-RecoverServe(const ServeCampaignSpec& spec, io::MemVfs& rebooted,
-             ServeSeedResult& r)
+RecoverServe(const DrillSpec& spec, io::MemVfs& rebooted, SeedResult& r)
 {
     serve::ServeConfig config = ServeConfigFor(spec);
     obs::Registry registry;
@@ -630,7 +615,7 @@ util::StatusOr<std::string> ReadWholeFile(io::Vfs& vfs,
  * a prefix to preserve, the acceptance bar for the S5 battery.
  */
 void
-DetectSweepPartialResume(io::Vfs& rebooted, ServeSeedResult& r)
+DetectSweepPartialResume(io::Vfs& rebooted, SeedResult& r)
 {
     util::StatusOr<std::string> bytes =
         ReadWholeFile(rebooted, "serve.journal");
@@ -713,7 +698,7 @@ RowRecordsFingerprint(const std::string& row)
  * rows are S4's (kept verbatim), not S5's (recomputable).
  */
 void
-CheckSweepInvariants(ServeSeedResult& r,
+CheckSweepInvariants(SeedResult& r,
                      const std::map<uint64_t, const serve::JobInfo*>& by_id,
                      const std::vector<serve::JournalRecord>& records,
                      io::Vfs& final_vfs, bool has_damage)
@@ -804,7 +789,7 @@ CheckSweepInvariants(ServeSeedResult& r,
 
 /** The S1-S3 battery over the final generation's truth. */
 void
-CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
+CheckServeInvariants(SeedResult& r, const std::vector<uint64_t>& acked,
                      const std::vector<serve::JobInfo>& final_jobs,
                      io::Vfs& final_vfs, bool has_damage)
 {
@@ -815,9 +800,9 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
         if (job.state == serve::JobState::kDone)
             ++r.jobs_done;
         if (job.resumed)
-            ++r.jobs_resumed;
+            ++r.resumes;
         if (job.outcome == "salvaged")
-            ++r.jobs_salvaged;
+            ++r.salvages;
     }
 
     // Scan the surviving journal exactly the way a next restart would.
@@ -934,7 +919,7 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
 }
 
 // ---------------------------------------------------------------------------
-// Hostile-network drills (campaign.h §net).
+// Hostile-network drills (DrillFamily::kNet).
 
 /**
  * True when the schedule silently rewrites bytes in flight. The client's
@@ -967,33 +952,17 @@ struct NetPlan {
 };
 
 NetPlan
-MakeNetPlan(const NetCampaignSpec& spec, uint64_t seed)
+MakeNetPlan(const DrillSpec& spec, uint64_t seed)
 {
     std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 0xC3ull);
     NetPlan plan;
-    plan.run_after.resize(spec.submits);
-    plan.ping_after.resize(spec.submits);
-    for (uint32_t j = 0; j < spec.submits; ++j) {
+    plan.run_after.resize(spec.jobs);
+    plan.ping_after.resize(spec.jobs);
+    for (uint32_t j = 0; j < spec.jobs; ++j) {
         plan.run_after[j] = (rng() & 1) != 0;
         plan.ping_after[j] = (rng() & 3) == 0;
     }
     return plan;
-}
-
-serve::ServeConfig
-NetServeConfigFor(const NetCampaignSpec& spec)
-{
-    serve::ServeConfig config;
-    config.dir = ".";    // flat MemVfs names, like the other drills
-    config.workers = 0;  // drill mode: jobs run on this thread, in order
-    config.admission.max_queue_depth = spec.submits + 4;
-    config.admission.max_per_tenant = spec.submits + 4;
-    config.admission.default_max_instructions = spec.max_instructions;
-    config.buffer_bytes = spec.buffer_bytes;
-    config.chunk_records = spec.chunk_records;
-    config.checkpoint_every_fills = spec.checkpoint_every_fills;
-    config.keep_checkpoints = spec.keep_checkpoints;
-    return config;
 }
 
 /** Loop bound for wire pumps: one delivery puts at most two small frames
@@ -1010,8 +979,7 @@ constexpr int kNetPumpBound = 64;
 class NetHarness
 {
   public:
-    NetHarness(const NetCampaignSpec& spec, io::ChaosNet& net,
-               NetSeedResult& r)
+    NetHarness(const DrillSpec& spec, io::ChaosNet& net, SeedResult& r)
         : spec_(spec), net_(net), r_(r),
           has_flip_(ScheduleHasNetFlip(r.schedule)),
           disk_(std::make_unique<io::MemVfs>()),
@@ -1021,7 +989,7 @@ class NetHarness
 
     util::Status Start()
     {
-        core_ = std::make_unique<serve::ServeCore>(NetServeConfigFor(spec_),
+        core_ = std::make_unique<serve::ServeCore>(ServeConfigFor(spec_),
                                                    *disk_, registry_.get());
         return core_->Start();
     }
@@ -1110,7 +1078,7 @@ class NetHarness
         core_.reset();  // the dying process's last I/O hits the old disk
         registry_ = std::make_unique<obs::Registry>();
         disk_ = std::make_unique<io::MemVfs>(snap);
-        core_ = std::make_unique<serve::ServeCore>(NetServeConfigFor(spec_),
+        core_ = std::make_unique<serve::ServeCore>(ServeConfigFor(spec_),
                                                    *disk_, registry_.get());
         if (util::Status s = core_->Start(); !s.ok()) {
             Fail(r_, "net-recovery",
@@ -1329,9 +1297,9 @@ class NetHarness
         }
     }
 
-    const NetCampaignSpec& spec_;
+    const DrillSpec& spec_;
     io::ChaosNet& net_;
-    NetSeedResult& r_;
+    SeedResult& r_;
     const bool has_flip_;
     bool dead_ = false;
 
@@ -1345,12 +1313,11 @@ class NetHarness
 
 /** Runs one seed's whole client script through `harness`. */
 void
-RunNetScript(const NetCampaignSpec& spec, uint64_t seed,
-             NetHarness& harness)
+RunNetScript(const DrillSpec& spec, uint64_t seed, NetHarness& harness)
 {
     const NetPlan plan = MakeNetPlan(spec, seed);
     const uint32_t tenants = spec.tenants > 0 ? spec.tenants : 1;
-    for (uint32_t j = 0; j < spec.submits && !harness.dead(); ++j) {
+    for (uint32_t j = 0; j < spec.jobs && !harness.dead(); ++j) {
         serve::Request submit;
         submit.op = serve::RequestOp::kSubmit;
         submit.tenant = "tenant-" + std::to_string(j % tenants);
@@ -1371,31 +1338,13 @@ RunNetScript(const NetCampaignSpec& spec, uint64_t seed,
     harness.Finish();
 }
 
-}  // namespace
-
-std::string
-SeedResult::Summary() const
-{
-    std::ostringstream os;
-    os << "seed " << seed << ": " << faults_fired << " faults";
-    if (power_cut)
-        os << ", power-cut";
-    os << (resumed ? ", resumed" : salvaged ? ", salvaged" : ", in-place");
-    os << ", " << data_records << " records";
-    if (lost_records > 0)
-        os << " + " << lost_records << " declared lost";
-    if (violations.empty()) {
-        os << ": ok";
-    } else {
-        os << ": " << violations.size() << " VIOLATIONS";
-        for (const InvariantViolation& v : violations)
-            os << " [" << v.invariant << "] " << v.detail;
-    }
-    return os.str();
-}
+// ---------------------------------------------------------------------------
+// The three drills. Each family probes its fault-free operation counts,
+// runs one schedule end to end into the result's family fields, and
+// describes what happened for the summary line.
 
 util::StatusOr<io::OpCounts>
-ProbeOpCounts(const CampaignSpec& spec)
+ProbeCapture(const DrillSpec& spec)
 {
     io::MemVfs mem;
     io::ChaosVfs vfs(mem, io::ChaosSchedule{});
@@ -1409,17 +1358,41 @@ ProbeOpCounts(const CampaignSpec& spec)
     return vfs.counts();
 }
 
-util::StatusOr<SeedResult>
-ReplaySchedule(const CampaignSpec& spec, const io::ChaosSchedule& schedule)
+util::StatusOr<io::OpCounts>
+ProbeServe(const DrillSpec& spec, uint64_t seed)
+{
+    io::MemVfs mem;
+    io::ChaosVfs vfs(mem, io::ChaosSchedule{});
+    const ServeGeneration gen = RunServeScript(spec, seed, vfs);
+    if (!gen.started)
+        return gen.start_status;
+    return vfs.counts();
+}
+
+util::StatusOr<io::OpCounts>
+ProbeNet(const DrillSpec& spec, uint64_t seed)
 {
     SeedResult r;
-    r.seed = schedule.seed;
-    r.schedule = schedule;
-    const bool has_damage = ScheduleHasDamage(schedule);
-    const bool has_short = ScheduleHasShortWrite(schedule);
+    io::ChaosNet net{io::ChaosSchedule{}};
+    NetHarness harness(spec, net, r);
+    if (util::Status s = harness.Start(); !s.ok())
+        return s;
+    RunNetScript(spec, seed, harness);
+    if (!r.ok())
+        return util::InternalError(
+            "fault-free net probe violated an invariant: " +
+            r.violations.front().detail);
+    return net.counts();
+}
+
+util::Status
+RunCaptureDrill(const DrillSpec& spec, SeedResult& r)
+{
+    const bool has_damage = ScheduleHasDamage(r.schedule);
+    const bool has_short = ScheduleHasShortWrite(r.schedule);
 
     io::MemVfs mem;
-    io::ChaosVfs vfs(mem, schedule);
+    io::ChaosVfs vfs(mem, r.schedule);
     const CaptureOutcome cap = RunCapture(spec, vfs);
     r.faults_fired = vfs.faults_fired();
     r.power_cut = vfs.power_cut_fired();
@@ -1431,7 +1404,7 @@ ReplaySchedule(const CampaignSpec& spec, const io::ChaosSchedule& schedule)
         // Reboot onto the crash-consistent state and recover.
         io::MemVfs rebooted(vfs.snapshot());
         RecoverAfterCut(spec, r, cap, rebooted, has_damage, has_short);
-        return r;
+        return util::OkStatus();
     }
 
     // The process survived its faults; its own books must balance.
@@ -1439,53 +1412,235 @@ ReplaySchedule(const CampaignSpec& spec, const io::ChaosSchedule& schedule)
     if (!facts.ok()) {
         Fail(r, "prefix-consistency",
              "trace unreadable: " + facts.status().ToString());
-        return r;
+        return util::OkStatus();
     }
     r.data_records = facts->data;
     r.lost_records = cap.tracer_lost;
     CheckAccountedTrace(r, *facts, cap.tracer_records, cap.tracer_lost,
                         cap.close_status.ok(), cap.end_degraded, has_damage,
                         has_short, spec.chunk_records);
+    return util::OkStatus();
+}
+
+util::Status
+RunServeDrill(const DrillSpec& spec, SeedResult& r)
+{
+    const bool has_damage = ScheduleHasDamage(r.schedule);
+
+    io::MemVfs mem;
+    io::ChaosVfs vfs(mem, r.schedule);
+    const ServeGeneration gen1 = RunServeScript(spec, r.seed, vfs);
+    r.faults_fired = vfs.faults_fired();
+    r.power_cut = vfs.power_cut_fired();
+
+    if (!gen1.started) {
+        // The daemon refused to come up (journal unopenable under a
+        // fault, or died to the cut before listening). Loud and
+        // promise-free — vacuously within the invariants.
+        return util::OkStatus();
+    }
+
+    if (r.power_cut) {
+        io::MemVfs rebooted(vfs.snapshot());
+        DetectSweepPartialResume(rebooted, r);
+        const std::vector<serve::JobInfo> final_jobs =
+            RecoverServe(spec, rebooted, r);
+        CheckServeInvariants(r, gen1.acked, final_jobs, rebooted,
+                             has_damage);
+        return util::OkStatus();
+    }
+
+    // The daemon survived its faults and shut down cleanly; its own
+    // final table and journal must already balance.
+    CheckServeInvariants(r, gen1.acked, gen1.jobs, mem, has_damage);
+    return util::OkStatus();
+}
+
+util::Status
+RunNetDrill(const DrillSpec& spec, SeedResult& r)
+{
+    io::ChaosNet net(r.schedule);
+    NetHarness harness(spec, net, r);
+    if (util::Status s = harness.Start(); !s.ok())
+        return s;  // a fresh MemVfs cannot refuse a start: a real error
+    RunNetScript(spec, r.seed, harness);
+    r.faults_fired = net.faults_fired();
+    return util::OkStatus();
+}
+
+/** Capture outcome: faults, recovery mode, records recovered/lost. */
+std::string
+DescribeCapture(const SeedResult& r)
+{
+    std::ostringstream os;
+    os << r.faults_fired << " faults";
+    if (r.power_cut)
+        os << ", power-cut";
+    os << (r.resumes > 0    ? ", resumed"
+           : r.salvages > 0 ? ", salvaged"
+                            : ", in-place");
+    os << ", " << r.data_records << " records";
+    if (r.lost_records > 0)
+        os << " + " << r.lost_records << " declared lost";
+    return os.str();
+}
+
+/** Serve outcome: faults and the fates of the daemon's jobs. */
+std::string
+DescribeServe(const SeedResult& r)
+{
+    std::ostringstream os;
+    os << r.faults_fired << " faults";
+    if (r.power_cut)
+        os << ", power-cut";
+    os << ", " << r.jobs_acked << " acked, " << r.jobs_done << " done";
+    if (r.resumes > 0)
+        os << ", " << r.resumes << " resumed";
+    if (r.salvages > 0)
+        os << ", " << r.salvages << " salvaged";
+    if (r.sweeps_acked > 0)
+        os << ", " << r.sweeps_acked << " sweeps/" << r.sweep_rows
+           << " rows";
+    if (r.sweep_partial_resume)
+        os << ", sweep-partial-resume";
+    return os.str();
+}
+
+/** Net outcome: faults, kills, and the retry/ack traffic. */
+std::string
+DescribeNet(const SeedResult& r)
+{
+    std::ostringstream os;
+    os << r.faults_fired << " net faults";
+    if (r.kills > 0)
+        os << ", " << r.kills << " kills";
+    os << ", " << r.acks << " acked";
+    if (r.dup_acks > 0)
+        os << " (" << r.dup_acks << " dedup)";
+    if (r.retries > 0)
+        os << ", " << r.retries << " retries";
+    return os.str();
+}
+
+/** The verdict tail every summary line ends with. */
+std::string
+Verdict(const std::vector<InvariantViolation>& violations)
+{
+    if (violations.empty())
+        return ": ok";
+    std::ostringstream os;
+    os << ": " << violations.size() << " VIOLATIONS";
+    for (const InvariantViolation& v : violations)
+        os << " [" << v.invariant << "] " << v.detail;
+    return os.str();
+}
+
+}  // namespace
+
+DrillSpec::DrillSpec(DrillFamily family) : family(family)
+{
+    if (family == DrillFamily::kCapture)
+        return;  // the member initializers are the capture shape
+    // Daemon drills run several small jobs per seed.
+    max_instructions = family == DrillFamily::kServe ? 6000 : 4000;
+    buffer_bytes = 4u << 10;
+    chunk_records = 64;
+    checkpoint_every_fills = 1;
+    keep_checkpoints = 2;
+}
+
+std::string
+SeedResult::Summary() const
+{
+    return "seed " + std::to_string(seed) + ": " + outcome +
+           Verdict(violations);
+}
+
+util::StatusOr<io::OpCounts>
+ProbeOpCounts(const DrillSpec& spec, uint64_t seed)
+{
+    switch (spec.family) {
+      case DrillFamily::kCapture:
+        return ProbeCapture(spec);
+      case DrillFamily::kServe:
+        return ProbeServe(spec, seed);
+      case DrillFamily::kNet:
+        return ProbeNet(spec, seed);
+    }
+    return util::InvalidArgument("unknown drill family");
+}
+
+util::StatusOr<SeedResult>
+ReplaySchedule(const DrillSpec& spec, const io::ChaosSchedule& schedule)
+{
+    SeedResult r;
+    r.seed = schedule.seed;
+    r.schedule = schedule;
+    util::Status status;
+    switch (spec.family) {
+      case DrillFamily::kCapture:
+        status = RunCaptureDrill(spec, r);
+        r.outcome = DescribeCapture(r);
+        break;
+      case DrillFamily::kServe:
+        status = RunServeDrill(spec, r);
+        r.outcome = DescribeServe(r);
+        break;
+      case DrillFamily::kNet:
+        status = RunNetDrill(spec, r);
+        r.outcome = DescribeNet(r);
+        break;
+    }
+    if (!status.ok())
+        return status;
     return r;
 }
 
 util::StatusOr<CampaignResult>
-RunCampaign(const CampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
+RunCampaign(const DrillSpec& spec, uint64_t first_seed, uint64_t seeds,
             const std::function<void(const SeedResult&)>& on_seed)
 {
-    util::StatusOr<io::OpCounts> probe = ProbeOpCounts(spec);
-    if (!probe.ok())
-        return probe.status();
+    // A capture script ignores the seed, so its one probe aims every
+    // schedule; serve and net scripts are seed-derived and re-probe.
+    const bool probe_each_seed = spec.family != DrillFamily::kCapture;
+    util::StatusOr<io::OpCounts> probe = ProbeOpCounts(spec, first_seed);
 
     CampaignResult result;
     for (uint64_t i = 0; i < seeds; ++i) {
         const uint64_t seed = first_seed + i;
+        if (i > 0 && probe_each_seed)
+            probe = ProbeOpCounts(spec, seed);
+        if (!probe.ok())
+            return probe.status();
         util::StatusOr<io::ChaosSchedule> schedule =
             io::ChaosSchedule::Random(seed, spec.campaigns, *probe);
         if (!schedule.ok())
             return schedule.status();
-        util::StatusOr<SeedResult> seed_result =
-            ReplaySchedule(spec, *schedule);
-        if (!seed_result.ok())
-            return seed_result.status();
+        util::StatusOr<SeedResult> r = ReplaySchedule(spec, *schedule);
+        if (!r.ok())
+            return r.status();
         ++result.seeds_run;
-        result.faults_fired += seed_result->faults_fired;
-        if (seed_result->power_cut)
-            ++result.power_cuts;
-        if (seed_result->resumed)
-            ++result.resumes;
-        if (seed_result->salvaged)
-            ++result.salvages;
-        if (!seed_result->ok())
-            result.failures.push_back(*seed_result);
+        result.faults_fired += r->faults_fired;
+        result.power_cuts += r->power_cut ? 1 : 0;
+        result.resumes += r->resumes;
+        result.salvages += r->salvages;
+        result.sweeps_acked += r->sweeps_acked;
+        result.sweep_rows += r->sweep_rows;
+        result.sweep_partial_resumes += r->sweep_partial_resume ? 1 : 0;
+        result.kills += r->kills;
+        result.retries += r->retries;
+        result.acks += r->acks;
+        result.dup_acks += r->dup_acks;
+        if (!r->ok())
+            result.failures.push_back(*r);
         if (on_seed)
-            on_seed(*seed_result);
+            on_seed(*r);
     }
     return result;
 }
 
 util::StatusOr<io::ChaosSchedule>
-Minimize(const CampaignSpec& spec, const io::ChaosSchedule& schedule)
+Minimize(const DrillSpec& spec, const io::ChaosSchedule& schedule)
 {
     const auto fails = [&](const io::ChaosSchedule& s)
         -> util::StatusOr<bool> {
@@ -1522,291 +1677,6 @@ Minimize(const CampaignSpec& spec, const io::ChaosSchedule& schedule)
 }
 
 // ---------------------------------------------------------------------------
-// Serve kill-restart campaign entry points.
-
-std::string
-ServeSeedResult::Summary() const
-{
-    std::ostringstream os;
-    os << "seed " << seed << ": " << faults_fired << " faults";
-    if (power_cut)
-        os << ", power-cut";
-    os << ", " << jobs_acked << " acked, " << jobs_done << " done";
-    if (jobs_resumed > 0)
-        os << ", " << jobs_resumed << " resumed";
-    if (jobs_salvaged > 0)
-        os << ", " << jobs_salvaged << " salvaged";
-    if (sweeps_acked > 0)
-        os << ", " << sweeps_acked << " sweeps/" << sweep_rows << " rows";
-    if (sweep_partial_resume)
-        os << ", sweep-partial-resume";
-    if (violations.empty()) {
-        os << ": ok";
-    } else {
-        os << ": " << violations.size() << " VIOLATIONS";
-        for (const InvariantViolation& v : violations)
-            os << " [" << v.invariant << "] " << v.detail;
-    }
-    return os.str();
-}
-
-util::StatusOr<io::OpCounts>
-ProbeServeOpCounts(const ServeCampaignSpec& spec, uint64_t seed)
-{
-    io::MemVfs mem;
-    io::ChaosVfs vfs(mem, io::ChaosSchedule{});
-    const ServeGeneration gen = RunServeScript(spec, seed, vfs);
-    if (!gen.started)
-        return gen.start_status;
-    return vfs.counts();
-}
-
-util::StatusOr<ServeSeedResult>
-ReplayServeSchedule(const ServeCampaignSpec& spec,
-                    const io::ChaosSchedule& schedule)
-{
-    ServeSeedResult r;
-    r.seed = schedule.seed;
-    r.schedule = schedule;
-    const bool has_damage = ScheduleHasDamage(schedule);
-
-    io::MemVfs mem;
-    io::ChaosVfs vfs(mem, schedule);
-    const ServeGeneration gen1 = RunServeScript(spec, schedule.seed, vfs);
-    r.faults_fired = vfs.faults_fired();
-    r.power_cut = vfs.power_cut_fired();
-
-    if (!gen1.started) {
-        // The daemon refused to come up (journal unopenable under a
-        // fault, or died to the cut before listening). Loud and
-        // promise-free — vacuously within the invariants.
-        return r;
-    }
-
-    if (r.power_cut) {
-        io::MemVfs rebooted(vfs.snapshot());
-        DetectSweepPartialResume(rebooted, r);
-        const std::vector<serve::JobInfo> final_jobs =
-            RecoverServe(spec, rebooted, r);
-        CheckServeInvariants(r, gen1.acked, final_jobs, rebooted,
-                             has_damage);
-        return r;
-    }
-
-    // The daemon survived its faults and shut down cleanly; its own
-    // final table and journal must already balance.
-    CheckServeInvariants(r, gen1.acked, gen1.jobs, mem, has_damage);
-    return r;
-}
-
-util::StatusOr<ServeCampaignResult>
-RunServeCampaign(const ServeCampaignSpec& spec, uint64_t first_seed,
-                 uint64_t seeds,
-                 const std::function<void(const ServeSeedResult&)>& on_seed)
-{
-    ServeCampaignResult result;
-    for (uint64_t i = 0; i < seeds; ++i) {
-        const uint64_t seed = first_seed + i;
-        // Each seed scripts its own request mix, so each aims its fault
-        // schedule with its own fault-free probe.
-        util::StatusOr<io::OpCounts> probe = ProbeServeOpCounts(spec, seed);
-        if (!probe.ok())
-            return probe.status();
-        util::StatusOr<io::ChaosSchedule> schedule =
-            io::ChaosSchedule::Random(seed, spec.campaigns, *probe);
-        if (!schedule.ok())
-            return schedule.status();
-        util::StatusOr<ServeSeedResult> seed_result =
-            ReplayServeSchedule(spec, *schedule);
-        if (!seed_result.ok())
-            return seed_result.status();
-        ++result.seeds_run;
-        result.faults_fired += seed_result->faults_fired;
-        if (seed_result->power_cut)
-            ++result.power_cuts;
-        result.resumes += seed_result->jobs_resumed;
-        result.salvages += seed_result->jobs_salvaged;
-        result.sweeps_acked += seed_result->sweeps_acked;
-        result.sweep_rows += seed_result->sweep_rows;
-        if (seed_result->sweep_partial_resume)
-            ++result.sweep_partial_resumes;
-        if (!seed_result->ok())
-            result.failures.push_back(*seed_result);
-        if (on_seed)
-            on_seed(*seed_result);
-    }
-    return result;
-}
-
-util::StatusOr<io::ChaosSchedule>
-MinimizeServe(const ServeCampaignSpec& spec,
-              const io::ChaosSchedule& schedule)
-{
-    const auto fails = [&](const io::ChaosSchedule& s)
-        -> util::StatusOr<bool> {
-        util::StatusOr<ServeSeedResult> r = ReplayServeSchedule(spec, s);
-        if (!r.ok())
-            return r.status();
-        return !r->ok();
-    };
-
-    util::StatusOr<bool> failing = fails(schedule);
-    if (!failing.ok())
-        return failing.status();
-    if (!*failing)
-        return schedule;
-
-    io::ChaosSchedule current = schedule;
-    bool shrunk = true;
-    while (shrunk && current.ops.size() > 1) {
-        shrunk = false;
-        for (size_t i = 0; i < current.ops.size(); ++i) {
-            io::ChaosSchedule trial = current;
-            trial.ops.erase(trial.ops.begin() + static_cast<long>(i));
-            util::StatusOr<bool> still = fails(trial);
-            if (!still.ok())
-                return still.status();
-            if (*still) {
-                current = std::move(trial);
-                shrunk = true;
-                break;
-            }
-        }
-    }
-    return current;
-}
-
-// ---------------------------------------------------------------------------
-// Hostile-network campaign entry points.
-
-std::string
-NetSeedResult::Summary() const
-{
-    std::ostringstream os;
-    os << "seed " << seed << ": " << faults_fired << " net faults";
-    if (kills > 0)
-        os << ", " << kills << " kills";
-    os << ", " << acks << " acked";
-    if (dup_acks > 0)
-        os << " (" << dup_acks << " dedup)";
-    if (retries > 0)
-        os << ", " << retries << " retries";
-    if (violations.empty()) {
-        os << ": ok";
-    } else {
-        os << ": " << violations.size() << " VIOLATIONS";
-        for (const InvariantViolation& v : violations)
-            os << " [" << v.invariant << "] " << v.detail;
-    }
-    return os.str();
-}
-
-util::StatusOr<io::OpCounts>
-ProbeNetOpCounts(const NetCampaignSpec& spec, uint64_t seed)
-{
-    NetSeedResult r;
-    io::ChaosNet net{io::ChaosSchedule{}};
-    NetHarness harness(spec, net, r);
-    if (util::Status s = harness.Start(); !s.ok())
-        return s;
-    RunNetScript(spec, seed, harness);
-    if (!r.ok())
-        return util::InternalError(
-            "fault-free net probe violated an invariant: " +
-            r.violations.front().detail);
-    return net.counts();
-}
-
-util::StatusOr<NetSeedResult>
-ReplayNetSchedule(const NetCampaignSpec& spec,
-                  const io::ChaosSchedule& schedule)
-{
-    NetSeedResult r;
-    r.seed = schedule.seed;
-    r.schedule = schedule;
-
-    io::ChaosNet net(schedule);
-    NetHarness harness(spec, net, r);
-    if (util::Status s = harness.Start(); !s.ok())
-        return s;  // a fresh MemVfs cannot refuse a start: a real error
-    RunNetScript(spec, schedule.seed, harness);
-    r.faults_fired = net.faults_fired();
-    return r;
-}
-
-util::StatusOr<NetCampaignResult>
-RunNetCampaign(const NetCampaignSpec& spec, uint64_t first_seed,
-               uint64_t seeds,
-               const std::function<void(const NetSeedResult&)>& on_seed)
-{
-    NetCampaignResult result;
-    for (uint64_t i = 0; i < seeds; ++i) {
-        const uint64_t seed = first_seed + i;
-        // Each seed scripts its own request mix, so each aims its fault
-        // schedule with its own fault-free probe.
-        util::StatusOr<io::OpCounts> probe = ProbeNetOpCounts(spec, seed);
-        if (!probe.ok())
-            return probe.status();
-        util::StatusOr<io::ChaosSchedule> schedule =
-            io::ChaosSchedule::Random(seed, spec.campaigns, *probe);
-        if (!schedule.ok())
-            return schedule.status();
-        util::StatusOr<NetSeedResult> seed_result =
-            ReplayNetSchedule(spec, *schedule);
-        if (!seed_result.ok())
-            return seed_result.status();
-        ++result.seeds_run;
-        result.faults_fired += seed_result->faults_fired;
-        result.kills += seed_result->kills;
-        result.retries += seed_result->retries;
-        result.acks += seed_result->acks;
-        result.dup_acks += seed_result->dup_acks;
-        if (!seed_result->ok())
-            result.failures.push_back(*seed_result);
-        if (on_seed)
-            on_seed(*seed_result);
-    }
-    return result;
-}
-
-util::StatusOr<io::ChaosSchedule>
-MinimizeNet(const NetCampaignSpec& spec, const io::ChaosSchedule& schedule)
-{
-    const auto fails = [&](const io::ChaosSchedule& s)
-        -> util::StatusOr<bool> {
-        util::StatusOr<NetSeedResult> r = ReplayNetSchedule(spec, s);
-        if (!r.ok())
-            return r.status();
-        return !r->ok();
-    };
-
-    util::StatusOr<bool> failing = fails(schedule);
-    if (!failing.ok())
-        return failing.status();
-    if (!*failing)
-        return schedule;
-
-    io::ChaosSchedule current = schedule;
-    bool shrunk = true;
-    while (shrunk && current.ops.size() > 1) {
-        shrunk = false;
-        for (size_t i = 0; i < current.ops.size(); ++i) {
-            io::ChaosSchedule trial = current;
-            trial.ops.erase(trial.ops.begin() + static_cast<long>(i));
-            util::StatusOr<bool> still = fails(trial);
-            if (!still.ok())
-                return still.status();
-            if (*still) {
-                current = std::move(trial);
-                shrunk = true;
-                break;
-            }
-        }
-    }
-    return current;
-}
-
-// ---------------------------------------------------------------------------
 // Deterministic protocol fuzzing.
 
 std::string
@@ -1815,14 +1685,7 @@ FuzzReport::Summary() const
     std::ostringstream os;
     os << "fuzz: " << inputs << " inputs, " << frames
        << " frames extracted, " << parsed << " parsed, " << rejected
-       << " rejected";
-    if (violations.empty()) {
-        os << ": ok";
-    } else {
-        os << ": " << violations.size() << " VIOLATIONS";
-        for (const InvariantViolation& v : violations)
-            os << " [" << v.invariant << "] " << v.detail;
-    }
+       << " rejected" << Verdict(violations);
     return os.str();
 }
 

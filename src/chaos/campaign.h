@@ -3,30 +3,81 @@
 
 /**
  * @file
- * Seeded crash campaigns and the no-silent-loss invariant checker.
+ * Seeded crash campaigns and their invariant checkers.
  *
- * One campaign iteration is a complete disaster drill, entirely inside a
- * MemVfs (no host filesystem is touched):
+ * One campaign iteration is a complete disaster drill, entirely inside
+ * in-memory disks and wires (no host filesystem or socket is touched):
  *
  *   1. roll a deterministic fault schedule for the seed (io/chaos.h),
  *      aimed by a fault-free probe run's operation counts;
- *   2. run a small supervised capture through a ChaosVfs executing that
- *      schedule — faults land mid-drain, mid-checkpoint, mid-rename, or
- *      the power dies outright;
- *   3. recover the way an operator would: reboot onto the crash-
- *      consistent state, resume from the newest loadable checkpoint, or
- *      salvage the bare trace with the tolerant scanner;
- *   4. check the no-silent-loss invariants (docs/CHAOS.md §Invariants):
+ *   2. run the drill's subject under that schedule;
+ *   3. recover the way an operator would;
+ *   4. check the family's invariants (docs/CHAOS.md, docs/SERVE.md).
  *
- *      I1 accounting — scanned data records + the tracer's loss tally
- *         equals every record the tracer accepted; a non-zero tally is
- *         documented in-stream by a kLoss marker carrying it. Loss may
- *         exist, but it is *loud*.
- *      I2 durable checkpoint — a checkpoint the session counted as
- *         written is loadable after the crash, and the trace it names
- *         reaches its high-water mark (SaveState syncs trace-first).
- *      I3 prefix consistency — absent injected corruption, the durable
- *         trace scans clean (no bad chunks) and salvage round-trips.
+ * A DrillSpec names one of three drill families; everything else — the
+ * seed loop, replay, minimization, the verdict line — is shared.
+ *
+ * kCapture — one supervised capture through a ChaosVfs. Faults land
+ * mid-drain, mid-checkpoint, mid-rename, or the power dies outright;
+ * recovery resumes from the newest loadable checkpoint or salvages the
+ * bare trace with the tolerant scanner. Checks:
+ *
+ *   I1 accounting — scanned data records + the tracer's loss tally
+ *      equals every record the tracer accepted; a non-zero tally is
+ *      documented in-stream by a kLoss marker carrying it. Loss may
+ *      exist, but it is *loud*.
+ *   I2 durable checkpoint — a checkpoint the session counted as written
+ *      is loadable after the crash, and the trace it names reaches its
+ *      high-water mark (SaveState syncs trace-first).
+ *   I3 prefix consistency — absent injected corruption, the durable
+ *      trace scans clean (no bad chunks) and salvage round-trips.
+ *
+ * kServe — a whole daemon: a ServeCore in drill mode (workers == 0, so
+ * the I/O sequence is deterministic) admits a seed-scripted mix of
+ * multi-tenant jobs (and, with `sweeps`, replay sweeps over them), runs
+ * them under the schedule, and is abandoned exactly as SIGKILL would
+ * leave it when the power cut fires. A second ServeCore boots on the
+ * crash-consistent snapshot, recovers from the journal and drains every
+ * surviving job. Checks:
+ *
+ *   S1 no lost jobs      — every acked submission reaches a terminal
+ *                          state (J1: journaled-before-ack held);
+ *   S2 no double-run     — at most one terminal journal record per job,
+ *                          and nothing journaled for a job after it;
+ *   S3 journal integrity — the final journal scans clean end-to-end,
+ *                          and (absent injected rot) every completed
+ *                          job's trace is prefix-consistent and salvage
+ *                          round-trips;
+ *   S4 no lost rows      — every sweep config result journaled complete
+ *                          appears verbatim in the final sweep, and
+ *                          (absent injected rot) none is journaled twice;
+ *   S5 resume = clean    — a recovered sweep's merged result is
+ *                          bit-identical to replaying the same configs
+ *                          cleanly over the final durable trace (per
+ *                          row, skipping rows whose input fingerprint
+ *                          shows the durable trace shrank under them).
+ *
+ * kNet — the daemon's wire: a seed-scripted multi-tenant client drives
+ * tokened submits through a ChaosNet (io/stream.h) into a drill-mode
+ * ServeCore — short and failed sends, mid-frame disconnects, bit flips,
+ * stalled reads, duplicated deliveries, SIGKILL-style restarts onto the
+ * crash-consistent disk — and retries every ambiguous outcome with the
+ * same token, exactly as atum-submit does. Checks:
+ *
+ *   N1 no double-run    — the final journal holds at most one submission
+ *                         per idempotency token, however often it was
+ *                         delivered and across any number of restarts;
+ *   N2 no crash/hang    — the daemon answers every parseable frame, a
+ *                         poison frame earns a structured error, and no
+ *                         pump loop wedges;
+ *   N3 ack consistency  — every ack for one token names the same job
+ *                         id, that id is journaled under the token, and
+ *                         the job reaches a terminal state.
+ *
+ * Damage gates: checks about *loss* stand down where the schedule itself
+ * rots bytes (disk bit flips and torn short writes; wire bit flips for
+ * N3 and N2's "answers parse"), since injected rot is not silent loss.
+ * N1 never stands down: dedup happens on the bytes the daemon received.
  *
  * A failing (seed, schedule) pair serializes to a small text file that
  * replays the identical failure forever — tests/chaos_corpus/ collects
@@ -44,14 +95,31 @@
 
 namespace atum::chaos {
 
-/** Shape of the capture each iteration runs (small but complete). */
-struct CampaignSpec {
+/** What a drill crashes: one capture, a daemon's disk, or its wire. */
+enum class DrillFamily : uint8_t { kCapture, kServe, kNet };
+
+/**
+ * Shape of one drill. Construct it with its family: the constructor
+ * fills that family's defaults, which are small enough for hundreds of
+ * seeds yet still complete (many drains = many fault targets).
+ *
+ *   field                    capture   serve   net
+ *   max_instructions         200000    6000    4000
+ *   buffer_bytes             8 KiB     4 KiB   4 KiB
+ *   chunk_records            128       64      64
+ *   checkpoint_every_fills   2         1       1
+ *   keep_checkpoints         3         2       2
+ */
+struct DrillSpec {
+    explicit DrillSpec(DrillFamily family = DrillFamily::kCapture);
+
+    DrillFamily family;
     /** Fault mix, e.g. {"powercut", "enospc"} (io/chaos.h names). */
     std::vector<std::string> campaigns;
-    /** Workload (workloads::MakeWorkload name) and its scale. */
+    /** Workload every capture runs (workloads::MakeWorkload) + scale. */
     std::string workload = "grep";
     uint32_t scale = 1;
-    /** Guest instruction budget per capture. */
+    /** Guest instruction budget per capture (per job for serve/net). */
     uint64_t max_instructions = 200'000;
     /** Trace-buffer bytes (small: many drains = many fault targets). */
     uint32_t buffer_bytes = 8u << 10;
@@ -61,22 +129,46 @@ struct CampaignSpec {
     uint64_t checkpoint_every_fills = 2;
     /** Checkpoint retention window. */
     uint32_t keep_checkpoints = 3;
+
+    // Serve and net drills only.
+    /** Submissions the script makes, round-robin over `tenants`: capture
+     *  jobs (serve) or tokened submits over the wire (net). */
+    uint32_t jobs = 4;
+    uint32_t tenants = 2;
+
+    // Serve drills only.
+    /**
+     * Replay sweeps the script submits after draining its captures
+     * (0 = the capture-only drill). Each targets a seed-picked capture
+     * and carries `sweep_configs` configs, one of which may be
+     * deliberately invalid (per-row isolation under fire).
+     */
+    uint32_t sweeps = 0;
+    uint32_t sweep_configs = 3;
+
+    // Net drills only.
+    /** Wire attempts per submit (first try + ambiguous retries). */
+    uint32_t max_attempts = 3;
 };
 
 /** One invariant breach, with enough detail to debug from the log. */
 struct InvariantViolation {
-    std::string invariant;  ///< "accounting" | "durable-checkpoint" | ...
+    std::string invariant;  ///< "accounting" | "serve-lost-job" | ...
     std::string detail;
 };
 
-/** Outcome of one seed's crash drill. */
+/** Outcome of one seed's drill; each family fills its own fields. */
 struct SeedResult {
     uint64_t seed = 0;
     io::ChaosSchedule schedule;
     uint32_t faults_fired = 0;
     bool power_cut = false;
-    bool resumed = false;    ///< recovery went through a checkpoint
-    bool salvaged = false;   ///< recovery scanned the bare trace
+    /** Recoveries through a checkpoint / by scanning the bare trace
+     *  (capture: 0 or 1; serve: jobs). */
+    uint32_t resumes = 0;
+    uint32_t salvages = 0;
+
+    // Capture drills.
     uint64_t data_records = 0;  ///< non-marker records recovered
     uint64_t lost_records = 0;  ///< loudly-declared loss
     /**
@@ -86,141 +178,34 @@ struct SeedResult {
      * scan (no checkpoint). 0 when no cut fired (bench_a10 percentiles).
      */
     uint64_t recovery_us = 0;
-    std::vector<InvariantViolation> violations;
 
-    bool ok() const { return violations.empty(); }
-    /** One log line: seed, faults, recovery mode, verdict. */
-    std::string Summary() const;
-};
-
-/** Aggregate of a whole campaign. */
-struct CampaignResult {
-    uint64_t seeds_run = 0;
-    uint64_t faults_fired = 0;
-    uint64_t power_cuts = 0;
-    uint64_t resumes = 0;
-    uint64_t salvages = 0;
-    /** Failing seeds only (schedules are the repro artifacts). */
-    std::vector<SeedResult> failures;
-
-    bool ok() const { return failures.empty(); }
-};
-
-/**
- * Runs the spec's capture fault-free and returns its operation counts —
- * the address space random schedules aim their fault indices into.
- * Deterministic per spec, so one probe serves a whole seed range.
- */
-util::StatusOr<io::OpCounts> ProbeOpCounts(const CampaignSpec& spec);
-
-/**
- * Runs one complete drill for an explicit schedule (the replay path for
- * corpus files and minimization).
- */
-util::StatusOr<SeedResult> ReplaySchedule(const CampaignSpec& spec,
-                                          const io::ChaosSchedule& schedule);
-
-/**
- * Runs seeds [first_seed, first_seed + seeds): rolls each schedule from
- * the shared probe and drills it. `on_seed` (may be null) observes every
- * result as it completes (progress reporting, artifact writing).
- */
-util::StatusOr<CampaignResult> RunCampaign(
-    const CampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
-    const std::function<void(const SeedResult&)>& on_seed = nullptr);
-
-/**
- * Greedy delta-debugging of a failing schedule: repeatedly drops ops
- * whose removal keeps at least one invariant violated, until no single
- * op can be removed. Returns the (still-failing) minimal schedule; if
- * `schedule` does not fail at all, returns it unchanged.
- */
-util::StatusOr<io::ChaosSchedule> Minimize(const CampaignSpec& spec,
-                                           const io::ChaosSchedule& schedule);
-
-// ---------------------------------------------------------------------------
-// Kill-restart drills against the serve daemon (docs/SERVE.md).
-//
-// Where the capture drills above crash ONE capture, a serve drill crashes
-// a whole daemon: a ServeCore in drill mode (workers == 0, so the I/O
-// sequence is deterministic) admits a seed-scripted mix of multi-tenant
-// jobs, runs them under a fault schedule, and — when the power cut fires —
-// is abandoned exactly as SIGKILL would leave it. A second ServeCore then
-// boots on the crash-consistent snapshot, recovers from the journal, and
-// drains every surviving job. The battery then checks the recovery
-// invariants the daemon promises:
-//
-//   S1 no lost jobs      — every acked submission reaches a terminal
-//                          state (J1: journaled-before-ack held);
-//   S2 no double-run     — at most one terminal journal record per job,
-//                          and nothing journaled for a job after it;
-//   S3 journal integrity — the final journal scans clean end-to-end, and
-//                          (absent injected rot) every completed job's
-//                          trace is prefix-consistent and salvage
-//                          round-trips;
-//   S4 no lost rows      — every sweep config result journaled complete
-//                          appears verbatim (byte-identical) in the final
-//                          sweep, and (absent injected rot) no config is
-//                          journaled twice;
-//   S5 resume = clean    — a recovered sweep's merged result (journaled
-//                          prefix + re-run remainder) is bit-identical to
-//                          replaying the same configs cleanly over the
-//                          final durable trace (checked per-row, skipping
-//                          rows whose input-trace fingerprint shows the
-//                          durable trace shrank under them with the cut).
-
-/** Shape of one serve drill (a small but complete multi-job daemon). */
-struct ServeCampaignSpec {
-    /** Fault mix, e.g. {"powercut", "enospc"} (io/chaos.h names). */
-    std::vector<std::string> campaigns;
-    /** Workload every job runs (workloads::MakeWorkload name) + scale. */
-    std::string workload = "grep";
-    uint32_t scale = 1;
-    /** Jobs the script submits, spread round-robin over tenants. */
-    uint32_t jobs = 4;
-    uint32_t tenants = 2;
-    /** Per-job guest instruction budget (small: drills must be quick). */
-    uint64_t max_instructions = 6000;
-    /** Capture shape (small buffers = many drains = many fault targets). */
-    uint32_t buffer_bytes = 4u << 10;
-    uint32_t chunk_records = 64;
-    uint64_t checkpoint_every_fills = 1;
-    uint32_t keep_checkpoints = 2;
-    /**
-     * Replay sweeps the script submits after draining its captures
-     * (0 = the classic capture-only drill). Each targets a seed-picked
-     * capture and carries `sweep_configs` configs, one of which may be
-     * deliberately invalid (per-row isolation under fire).
-     */
-    uint32_t sweeps = 0;
-    uint32_t sweep_configs = 3;
-};
-
-/** Outcome of one seed's kill-restart drill. */
-struct ServeSeedResult {
-    uint64_t seed = 0;
-    io::ChaosSchedule schedule;
-    uint32_t faults_fired = 0;
-    bool power_cut = false;
+    // Serve drills.
     uint32_t jobs_acked = 0;     ///< submissions the daemon promised
     uint32_t jobs_done = 0;      ///< terminal "done" after recovery
-    uint32_t jobs_resumed = 0;   ///< continued from a checkpoint
-    uint32_t jobs_salvaged = 0;  ///< trace recovered by the scanner
     uint32_t sweeps_acked = 0;   ///< sweep submissions the daemon promised
     uint32_t sweep_rows = 0;     ///< config rows complete after recovery
     /** Recovery found a sweep with SOME (not all, not zero) configs
      *  journaled and resumed it from that high-water mark — the drill
      *  the S5 byte-identity check exists for. */
     bool sweep_partial_resume = false;
+
+    // Net drills.
+    uint32_t kills = 0;      ///< daemon deaths (kill-serve ops fired)
+    uint32_t retries = 0;    ///< ambiguous submits re-sent (same token)
+    uint32_t acks = 0;       ///< submit answers carrying a job id
+    uint32_t dup_acks = 0;   ///< answers flagged "dup" (dedup served them)
+
+    /** The family's account of the drill ("power-cut, resumed, ..."). */
+    std::string outcome;
     std::vector<InvariantViolation> violations;
 
     bool ok() const { return violations.empty(); }
-    /** One log line: seed, faults, job fates, verdict. */
+    /** One log line: seed, the drill's outcome, verdict. */
     std::string Summary() const;
 };
 
-/** Aggregate of a whole serve campaign. */
-struct ServeCampaignResult {
+/** Aggregate of a whole campaign (per-seed fields summed). */
+struct CampaignResult {
     uint64_t seeds_run = 0;
     uint64_t faults_fired = 0;
     uint64_t power_cuts = 0;
@@ -230,144 +215,53 @@ struct ServeCampaignResult {
     uint64_t sweep_rows = 0;
     /** Seeds whose recovery resumed a partially-journaled sweep. */
     uint64_t sweep_partial_resumes = 0;
-    std::vector<ServeSeedResult> failures;
-
-    bool ok() const { return failures.empty(); }
-};
-
-/**
- * Runs seed `seed`'s request script fault-free and returns its operation
- * counts. Unlike the capture probe, the script itself is seed-derived
- * (submit/run interleave, which job gets cancelled), so each seed aims
- * its schedule with its own probe.
- */
-util::StatusOr<io::OpCounts> ProbeServeOpCounts(const ServeCampaignSpec& spec,
-                                                uint64_t seed);
-
-/**
- * Runs one complete serve drill for an explicit schedule; the request
- * script is re-derived from schedule.seed, so a serialized schedule
- * replays the identical drill forever.
- */
-util::StatusOr<ServeSeedResult> ReplayServeSchedule(
-    const ServeCampaignSpec& spec, const io::ChaosSchedule& schedule);
-
-/** Runs seeds [first_seed, first_seed + seeds) of serve drills. */
-util::StatusOr<ServeCampaignResult> RunServeCampaign(
-    const ServeCampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
-    const std::function<void(const ServeSeedResult&)>& on_seed = nullptr);
-
-/** Minimize() for a failing serve schedule. */
-util::StatusOr<io::ChaosSchedule> MinimizeServe(
-    const ServeCampaignSpec& spec, const io::ChaosSchedule& schedule);
-
-// ---------------------------------------------------------------------------
-// Hostile-network drills against the serve protocol (docs/SERVE.md
-// "Network failure model").
-//
-// Where the serve drills above kill the daemon's DISK, a net drill
-// attacks its WIRE: a seed-scripted multi-tenant client drives framed
-// requests through a ChaosNet (io/stream.h) into a drill-mode ServeCore,
-// with the schedule injecting short and failed sends, mid-frame
-// disconnects, bit flips, stalled reads, duplicated client retries, and
-// SIGKILL-style daemon deaths that restart onto the crash-consistent
-// disk. Every submit carries an idempotency token, and every ambiguous
-// outcome (sent, but no answer) is retried with the same token — exactly
-// what atum-submit does. The battery then checks:
-//
-//   N1 no double-run    — the final journal holds at most one submission
-//                         per idempotency token, however many times the
-//                         client (or the net-dup fault) delivered it,
-//                         and across any number of kill-restarts;
-//   N2 no crash/hang    — the daemon answers every parseable frame, and
-//                         a poison frame earns a structured error, never
-//                         a wedge (every pump loop is bounded) or a
-//                         garbage answer;
-//   N3 ack consistency  — every ack the client ever received for one
-//                         token names the same job id, that id is
-//                         journaled under the token, and the job reaches
-//                         a terminal state.
-//
-// Bit-flip campaigns silently rewrite bytes in flight — including the
-// token itself — so the client-perspective checks (N3, and N2's "answers
-// parse") stand down under flips, exactly like the damage gates in the
-// disk drills. N1's journal-side check never stands down: dedup happens
-// on received bytes, whatever the wire did to them.
-
-/** Shape of one net drill (a small multi-tenant client session). */
-struct NetCampaignSpec {
-    /** Fault mix, e.g. {"net-flaky", "net-cut"} (io/chaos.h names). */
-    std::vector<std::string> campaigns;
-    /** Workload every submit names (workloads::MakeWorkload) + scale. */
-    std::string workload = "grep";
-    uint32_t scale = 1;
-    /** Tokened submits the script delivers, round-robin over tenants. */
-    uint32_t submits = 4;
-    uint32_t tenants = 2;
-    /** Wire attempts per submit (first try + ambiguous retries). */
-    uint32_t max_attempts = 3;
-    /** Per-job guest instruction budget (small: drills must be quick). */
-    uint64_t max_instructions = 4000;
-    /** Capture shape for the jobs the submits create. */
-    uint32_t buffer_bytes = 4u << 10;
-    uint32_t chunk_records = 64;
-    uint64_t checkpoint_every_fills = 1;
-    uint32_t keep_checkpoints = 2;
-};
-
-/** Outcome of one seed's hostile-network drill. */
-struct NetSeedResult {
-    uint64_t seed = 0;
-    io::ChaosSchedule schedule;
-    uint32_t faults_fired = 0;
-    uint32_t kills = 0;      ///< daemon deaths (kill-serve ops fired)
-    uint32_t retries = 0;    ///< ambiguous submits re-sent (same token)
-    uint32_t acks = 0;       ///< submit answers carrying a job id
-    uint32_t dup_acks = 0;   ///< answers flagged "dup" (dedup served them)
-    std::vector<InvariantViolation> violations;
-
-    bool ok() const { return violations.empty(); }
-    /** One log line: seed, faults, retry/ack traffic, verdict. */
-    std::string Summary() const;
-};
-
-/** Aggregate of a whole net campaign. */
-struct NetCampaignResult {
-    uint64_t seeds_run = 0;
-    uint64_t faults_fired = 0;
     uint64_t kills = 0;
     uint64_t retries = 0;
     uint64_t acks = 0;
     uint64_t dup_acks = 0;
-    std::vector<NetSeedResult> failures;
+    /** Failing seeds only (schedules are the repro artifacts). */
+    std::vector<SeedResult> failures;
 
     bool ok() const { return failures.empty(); }
 };
 
 /**
- * Runs seed `seed`'s client script over a fault-free ChaosNet and
- * returns its send/recv/request counts — the address space net schedules
- * aim their fault indices into.
+ * Runs seed `seed`'s drill with no faults and returns its operation
+ * counts — the address space random schedules aim their fault indices
+ * into. A capture drill's script does not depend on the seed, so one
+ * probe serves a whole seed range; serve and net scripts are derived
+ * from the seed (submit/run interleave, cancels, pings), so each seed
+ * probes its own.
  */
-util::StatusOr<io::OpCounts> ProbeNetOpCounts(const NetCampaignSpec& spec,
-                                              uint64_t seed);
+util::StatusOr<io::OpCounts> ProbeOpCounts(const DrillSpec& spec,
+                                           uint64_t seed);
 
 /**
- * Runs one complete net drill for an explicit schedule; the client
- * script is re-derived from schedule.seed, so a serialized schedule
- * replays the identical drill forever.
+ * Runs one complete drill for an explicit schedule (the replay path for
+ * corpus files and minimization). Serve and net scripts are re-derived
+ * from schedule.seed, so a serialized schedule replays the identical
+ * drill forever.
  */
-util::StatusOr<NetSeedResult> ReplayNetSchedule(
-    const NetCampaignSpec& spec, const io::ChaosSchedule& schedule);
+util::StatusOr<SeedResult> ReplaySchedule(const DrillSpec& spec,
+                                          const io::ChaosSchedule& schedule);
 
-/** Runs seeds [first_seed, first_seed + seeds) of net drills. */
-util::StatusOr<NetCampaignResult> RunNetCampaign(
-    const NetCampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
-    const std::function<void(const NetSeedResult&)>& on_seed = nullptr);
+/**
+ * Runs seeds [first_seed, first_seed + seeds): rolls each schedule from
+ * the probe and drills it. `on_seed` (may be null) observes every result
+ * as it completes (progress reporting, artifact writing).
+ */
+util::StatusOr<CampaignResult> RunCampaign(
+    const DrillSpec& spec, uint64_t first_seed, uint64_t seeds,
+    const std::function<void(const SeedResult&)>& on_seed = nullptr);
 
-/** Minimize() for a failing net schedule. */
-util::StatusOr<io::ChaosSchedule> MinimizeNet(
-    const NetCampaignSpec& spec, const io::ChaosSchedule& schedule);
+/**
+ * Greedy delta-debugging of a failing schedule: repeatedly drops ops
+ * whose removal keeps at least one invariant violated, until no single
+ * op can be removed. Returns the (still-failing) minimal schedule; if
+ * `schedule` does not fail at all, returns it unchanged.
+ */
+util::StatusOr<io::ChaosSchedule> Minimize(const DrillSpec& spec,
+                                           const io::ChaosSchedule& schedule);
 
 // ---------------------------------------------------------------------------
 // Deterministic protocol fuzzing (no wire, no daemon: just the codec).

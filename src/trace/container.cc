@@ -192,7 +192,8 @@ MemoryByteSource::Read(void* data, size_t len)
 {
     const size_t avail = bytes_.size() - pos_;
     const size_t n = len < avail ? len : avail;
-    std::memcpy(data, bytes_.data() + pos_, n);
+    if (n > 0)  // an empty buffer's data() may be null: no memcpy at all
+        std::memcpy(data, bytes_.data() + pos_, n);
     pos_ += n;
     return n;
 }
@@ -359,31 +360,6 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
         prefix_intact = false;
     };
 
-    // ---- legacy v1: no checksums, so only the plausible prefix is trusted.
-    if (b.size() >= sizeof kV1Magic &&
-        std::memcmp(b.data(), kV1Magic, sizeof kV1Magic) == 0) {
-        report.recognized = true;
-        report.legacy_v1 = true;
-        size_t pos = sizeof kV1Magic;
-        while (pos + kRecordBytes <= b.size()) {
-            const Record r = UnpackRecord(&b[pos]);
-            if (!IsPlausibleRecord(r)) {
-                issue(pos, "implausible record; stopped (v1 carries no "
-                           "checksums, nothing past this point is trusted)");
-                break;
-            }
-            if (out != nullptr)
-                out->push_back(r);
-            ++report.records_salvaged;
-            pos += kRecordBytes;
-        }
-        if (report.issues.empty() && pos != b.size())
-            issue(pos, "trailing partial record (truncated capture)");
-        report.valid_prefix_records = report.records_salvaged;
-        return report;
-    }
-
-    // ---- ATF2.
     if (b.size() < sizeof kAtf2Magic ||
         std::memcmp(b.data(), kAtf2Magic, sizeof kAtf2Magic) != 0) {
         issue(0, b.empty() ? "empty file" : "unknown magic");
@@ -527,8 +503,6 @@ ScanReport::intact() const
 {
     if (!recognized)
         return false;
-    if (legacy_v1)
-        return issues.empty();
     return sealed && chunks_bad == 0 && issues.empty() &&
            records_salvaged == footer_records;
 }
@@ -540,14 +514,12 @@ ScanReport::ToString() const
     os << "format:  ";
     if (!recognized)
         os << "unrecognized (no trace magic)\n";
-    else if (legacy_v1)
-        os << "legacy v1 (no checksums)\n";
     else if (sealed)
         os << "ATF2 sealed\n";
     else
         os << "ATF2 UNSEALED (no footer: the capture did not complete)\n";
     os << "bytes:   " << file_bytes << "\n";
-    if (recognized && !legacy_v1)
+    if (recognized)
         os << "chunks:  " << chunks_ok << " ok, " << chunks_bad << " bad\n";
     os << "records: " << records_salvaged << " salvageable";
     if (sealed)
@@ -578,12 +550,8 @@ LoadTrace(const std::string& path, io::Vfs& vfs)
     const ScanReport report = ScanTrace(**source, &records);
     if (!report.recognized)
         return util::InvalidArgument("not an ATUM trace file: ", path);
-    if (report.intact()) {
-        if (report.legacy_v1)
-            Warn("reading legacy v1 trace ", path,
-                 " (no checksums; re-capture or --salvage to get ATF2)");
+    if (report.intact())
         return records;
-    }
     const std::string first =
         report.issues.empty() ? "damaged" : report.issues[0].error;
     return util::DataLoss(path, ": ", first, " (",

@@ -34,9 +34,6 @@
  *    the islands after it;
  *  - all checks return Status — no Fatal/Panic is reachable from bad
  *    file content.
- *
- * Readers still accept legacy v1 files (one warning, no checksums; only
- * the valid prefix is trusted).
  */
 
 #include <cstdint>
@@ -52,8 +49,8 @@ namespace atum::trace {
 
 // ---------------------------------------------------------------------------
 // Byte-stream interfaces. The container reads/writes through these so that
-// tests can interpose fault injection (trace/fault.h) or keep data in
-// memory without touching a filesystem.
+// tests can keep data in memory without touching a filesystem; fault
+// injection happens one layer down, at the io::Vfs seam (io/chaos.h).
 
 /** Destination for raw container bytes. */
 class ByteSink
@@ -138,7 +135,7 @@ class FileByteSource : public ByteSource
     std::string path_;
 };
 
-/** Accumulates container bytes in memory (tests, fault harness). */
+/** Accumulates container bytes in memory (tests, salvage round trips). */
 class MemoryByteSink : public ByteSink
 {
   public:
@@ -185,9 +182,6 @@ inline constexpr uint32_t kAtf2ChunkMagic = 0x4B4E4843;   // "CHNK"
 inline constexpr uint32_t kAtf2FooterMagic = 0x544F4F46;  // "FOOT"
 /** Upper bound a scanner will believe for one chunk's record count. */
 inline constexpr uint32_t kAtf2MaxChunkRecords = 1u << 20;
-
-/** Legacy v1 magic, still accepted by readers. */
-inline constexpr char kV1Magic[8] = {'A', 'T', 'U', 'M', '0', '0', '0', '1'};
 
 struct Atf2WriterOptions {
     /** Records per chunk; the loss-confinement granularity. */
@@ -287,7 +281,6 @@ struct ScanIssue {
 /** What a tolerant pass over one container found. */
 struct ScanReport {
     bool recognized = false;  ///< carried a known trace magic
-    bool legacy_v1 = false;   ///< raw v1 file (no checksums)
     bool sealed = false;      ///< valid ATF2 footer present
     uint64_t file_bytes = 0;
     uint32_t chunks_ok = 0;
@@ -318,7 +311,7 @@ ScanReport ScanTrace(ByteSource& in, std::vector<Record>* out);
  * Strictly loads a trace file: every record or a non-OK status (kNotFound
  * or kIoError when unreadable, kInvalidArgument when not a trace,
  * kDataLoss when damaged — the message then names the salvageable record
- * count). Accepts legacy v1 files with a one-line warning.
+ * count).
  */
 util::StatusOr<std::vector<Record>> LoadTrace(const std::string& path,
                                               io::Vfs& vfs = io::RealVfs());

@@ -87,8 +87,8 @@ Record MakeLoss(uint32_t lost, uint16_t event);
 
 /**
  * True when every field of `r` is an encoding this library can produce.
- * Raw v1 trace files carry no checksums, so a reader must vet each record
- * before trusting it (a corrupt type byte must not reach per-type arrays).
+ * The scanner vets every record of a CRC-clean chunk with it, so a
+ * corrupt type byte never reaches per-type arrays.
  */
 bool IsPlausibleRecord(const Record& r);
 

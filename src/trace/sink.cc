@@ -147,9 +147,6 @@ FileSource::Open(const std::string& path, io::Vfs& vfs)
     source->report_ = ScanTrace(**in, &source->records_);
     if (!source->report_.recognized)
         return util::InvalidArgument("not an ATUM trace file: ", path);
-    if (source->report_.legacy_v1 && source->report_.intact())
-        Warn("reading legacy v1 trace ", path,
-             " (no checksums; re-capture or --salvage to get ATF2)");
     if (!source->report_.intact()) {
         const auto& issues = source->report_.issues;
         source->status_ = util::DataLoss(

@@ -25,10 +25,10 @@ namespace atum::chaos {
 namespace {
 
 /** Campaign shape for the seeded property tests (smaller = faster). */
-CampaignSpec
+DrillSpec
 QuickSpec()
 {
-    CampaignSpec spec;
+    DrillSpec spec;
     spec.max_instructions = 80'000;
     return spec;
 }
@@ -77,7 +77,7 @@ TEST(ChaosCorpus, ReplaysClean)
             io::ChaosSchedule::Parse(ReadFile(file));
         ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
         util::StatusOr<SeedResult> result =
-            ReplaySchedule(CampaignSpec{}, *schedule);
+            ReplaySchedule(DrillSpec{}, *schedule);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         EXPECT_TRUE(result->ok()) << result->Summary();
         EXPECT_GE(result->faults_fired, 1u)
@@ -102,7 +102,7 @@ TEST(ChaosCampaign, PowerCutAlwaysLeavesAConsistentPrefix)
 
 TEST(ChaosCampaign, PowerCutCampaign)
 {
-    CampaignSpec spec = QuickSpec();
+    DrillSpec spec = QuickSpec();
     spec.campaigns = {"powercut", "torn-rename"};
     util::StatusOr<CampaignResult> result =
         RunCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
@@ -117,7 +117,7 @@ TEST(ChaosCampaign, PowerCutCampaign)
 // zero records lost and no degradation.
 TEST(ChaosCampaign, EintrStormIsInvisible)
 {
-    CampaignSpec spec = QuickSpec();
+    DrillSpec spec = QuickSpec();
     spec.campaigns = {"eintr"};
     uint64_t total_lost = 0;
     util::StatusOr<CampaignResult> result = RunCampaign(
@@ -132,7 +132,7 @@ TEST(ChaosCampaign, EintrStormIsInvisible)
 
 TEST(ChaosCampaign, EnospcCampaign)
 {
-    CampaignSpec spec = QuickSpec();
+    DrillSpec spec = QuickSpec();
     spec.campaigns = {"enospc"};
     util::StatusOr<CampaignResult> result =
         RunCampaign(spec, /*first_seed=*/1, /*seeds=*/4);
@@ -153,7 +153,7 @@ TEST(ChaosCampaign, CampaignCatchesDirSyncBug)
     schedule.campaigns = {"torn-rename"};
     schedule.ops.push_back(
         io::ChaosOp{io::ChaosOpKind::kPowerCutRename, /*at=*/1});
-    const CampaignSpec spec = QuickSpec();
+    const DrillSpec spec = QuickSpec();
 
     // Correct code: the mandatory DirSync fails on the dead filesystem,
     // the checkpoint is never reported written, nothing was promised.

@@ -1035,14 +1035,14 @@ TEST(ServeCore, KillRestartResumesSweepFromJournaledRows)
 
 TEST(ServeChaos, KillRestartCampaignUpholdsInvariants)
 {
-    chaos::ServeCampaignSpec spec;
+    chaos::DrillSpec spec(chaos::DrillFamily::kServe);
     spec.campaigns = {"powercut", "enospc", "torn-rename"};
     spec.jobs = 3;
     spec.max_instructions = 4000;
-    util::StatusOr<chaos::ServeCampaignResult> result =
-        chaos::RunServeCampaign(spec, /*first_seed=*/1, /*seeds=*/4);
+    util::StatusOr<chaos::CampaignResult> result =
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/4);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    for (const chaos::ServeSeedResult& failure : result->failures)
+    for (const chaos::SeedResult& failure : result->failures)
         ADD_FAILURE() << failure.Summary();
     EXPECT_GE(result->power_cuts, 1u);
 }
@@ -1053,17 +1053,17 @@ TEST(ServeChaos, KillRestartCampaignUpholdsInvariants)
 // `atum-chaos --serve --sweeps` defaults to.
 TEST(ServeChaos, SweepKillRestartCampaignUpholdsS4AndS5)
 {
-    chaos::ServeCampaignSpec spec;
+    chaos::DrillSpec spec(chaos::DrillFamily::kServe);
     spec.campaigns = {"powercut", "enospc", "torn-rename"};
     spec.jobs = 2;
     spec.max_instructions = 2000;
     spec.buffer_bytes = 8u << 10;
     spec.sweeps = 2;
     spec.sweep_configs = 3;
-    util::StatusOr<chaos::ServeCampaignResult> result =
-        chaos::RunServeCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
+    util::StatusOr<chaos::CampaignResult> result =
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    for (const chaos::ServeSeedResult& failure : result->failures)
+    for (const chaos::SeedResult& failure : result->failures)
         ADD_FAILURE() << failure.Summary();
     EXPECT_GE(result->sweeps_acked, 1u);
     EXPECT_GE(result->sweep_rows, 1u);
@@ -1222,24 +1222,24 @@ TEST(ServeCore, TokenDedupSurvivesKillRestart)
 // The hostile-network drills (quick shapes; the 200-seed acceptance run
 // is scripts/test_serve.sh and the nightly workflow).
 
-chaos::NetCampaignSpec
+chaos::DrillSpec
 QuickNetSpec()
 {
-    chaos::NetCampaignSpec spec;
-    spec.submits = 3;
+    chaos::DrillSpec spec(chaos::DrillFamily::kNet);
+    spec.jobs = 3;
     spec.max_instructions = 2000;
     return spec;
 }
 
 TEST(NetChaos, HostileWireCampaignUpholdsN1N2N3)
 {
-    chaos::NetCampaignSpec spec = QuickNetSpec();
+    chaos::DrillSpec spec = QuickNetSpec();
     spec.campaigns = {"net-flaky", "net-cut", "net-flip",
                       "net-stall", "net-dup", "net-kill"};
-    util::StatusOr<chaos::NetCampaignResult> result =
-        chaos::RunNetCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
+    util::StatusOr<chaos::CampaignResult> result =
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    for (const chaos::NetSeedResult& failure : result->failures)
+    for (const chaos::SeedResult& failure : result->failures)
         ADD_FAILURE() << failure.Summary();
     EXPECT_GT(result->faults_fired, 0u);
     EXPECT_GT(result->acks, 0u);
@@ -1271,27 +1271,27 @@ DupDeliverySchedule()
 
 TEST(NetChaos, TeethDedupBugIsCaughtAsDoubleRunAndFixPasses)
 {
-    const chaos::NetCampaignSpec spec = QuickNetSpec();
+    const chaos::DrillSpec spec = QuickNetSpec();
     const io::ChaosSchedule schedule = DupDeliverySchedule();
 
-    util::StatusOr<chaos::NetSeedResult> good =
-        chaos::ReplayNetSchedule(spec, schedule);
+    util::StatusOr<chaos::SeedResult> good =
+        chaos::ReplaySchedule(spec, schedule);
     ASSERT_TRUE(good.ok()) << good.status().ToString();
     EXPECT_TRUE(good->ok()) << good->Summary();
     EXPECT_GE(good->dup_acks, 1u);  // dedup answered the duplicate
 
     {
         TokenDedupBugGuard bug;
-        util::StatusOr<chaos::NetSeedResult> broken =
-            chaos::ReplayNetSchedule(spec, schedule);
+        util::StatusOr<chaos::SeedResult> broken =
+            chaos::ReplaySchedule(spec, schedule);
         ASSERT_TRUE(broken.ok()) << broken.status().ToString();
         ASSERT_FALSE(broken->ok()) << "the drill failed to bite the bug";
         EXPECT_EQ(broken->violations[0].invariant, "net-double-run")
             << broken->Summary();
     }
 
-    util::StatusOr<chaos::NetSeedResult> fixed =
-        chaos::ReplayNetSchedule(spec, schedule);
+    util::StatusOr<chaos::SeedResult> fixed =
+        chaos::ReplaySchedule(spec, schedule);
     ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
     EXPECT_TRUE(fixed->ok()) << fixed->Summary();
 }
@@ -1300,7 +1300,7 @@ TEST(NetChaos, TeethDedupBugIsCaughtAsDoubleRunAndFixPasses)
 // duplicate delivery that trips the reintroduced bug.
 TEST(NetChaos, MinimizeNetShrinksToTheDuplicateDelivery)
 {
-    const chaos::NetCampaignSpec spec = QuickNetSpec();
+    const chaos::DrillSpec spec = QuickNetSpec();
     io::ChaosSchedule noisy = DupDeliverySchedule();
     io::ChaosOp shorts;
     shorts.kind = io::ChaosOpKind::kShortSend;
@@ -1314,7 +1314,7 @@ TEST(NetChaos, MinimizeNetShrinksToTheDuplicateDelivery)
 
     TokenDedupBugGuard bug;
     util::StatusOr<io::ChaosSchedule> minimal =
-        chaos::MinimizeNet(spec, noisy);
+        chaos::Minimize(spec, noisy);
     ASSERT_TRUE(minimal.ok()) << minimal.status().ToString();
     ASSERT_EQ(minimal->ops.size(), 1u);
     EXPECT_EQ(minimal->ops[0].kind, io::ChaosOpKind::kDupRequest);
@@ -1325,8 +1325,8 @@ TEST(NetChaos, MinimizeNetShrinksToTheDuplicateDelivery)
     util::StatusOr<io::ChaosSchedule> reparsed =
         io::ChaosSchedule::Parse(minimal->Serialize());
     ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-    util::StatusOr<chaos::NetSeedResult> replay =
-        chaos::ReplayNetSchedule(spec, *reparsed);
+    util::StatusOr<chaos::SeedResult> replay =
+        chaos::ReplaySchedule(spec, *reparsed);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     EXPECT_FALSE(replay->ok());
 }

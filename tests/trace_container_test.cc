@@ -1,17 +1,19 @@
 // Corruption matrix for the ATF2 container: every truncation point,
-// bit flips in every chunk position, crash-model truncation, legacy v1
-// handling, and the fault-injection harness itself. No test here may
+// bit flips in every chunk position, faults injected under the file
+// sink and source, and the retired v1 magic. No test here may
 // kill the process — malformed file input must always come back as a
 // Status or a damage report.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "io/chaos.h"
+#include "io/mem_vfs.h"
 #include "trace/container.h"
-#include "trace/fault.h"
 #include "trace/record.h"
 #include "trace/sink.h"
 #include "util/status.h"
@@ -82,7 +84,6 @@ TEST(Container, SealedRoundTripIsIntact)
     const ScanReport report = Scan(bytes, &back);
     EXPECT_TRUE(report.intact());
     EXPECT_TRUE(report.sealed);
-    EXPECT_FALSE(report.legacy_v1);
     EXPECT_EQ(report.chunks_ok, 3u);
     EXPECT_EQ(report.chunks_bad, 0u);
     EXPECT_EQ(report.records_salvaged, 10u);
@@ -212,66 +213,78 @@ TEST(Container, FooterFlipLeavesRecordsButNotSealed)
 }
 
 // ---------------------------------------------------------------------------
-// Legacy v1.
+// The retired v1 format.
 
-std::vector<uint8_t>
-V1Container(uint32_t n)
+// The checksum-free v1 format is no longer read: its magic is just an
+// unknown one, so nothing in such a file is trusted or counted.
+TEST(Container, RetiredV1MagicScansAsUnrecognized)
 {
-    std::vector<uint8_t> bytes(kV1Magic, kV1Magic + sizeof kV1Magic);
-    for (uint32_t i = 0; i < n; ++i) {
+    std::vector<uint8_t> bytes = {'A', 'T', 'U', 'M', '0', '0', '0', '1'};
+    for (uint32_t i = 0; i < 7; ++i) {
         uint8_t packed[kRecordBytes];
         PackRecord(TestRecord(i), packed);
         bytes.insert(bytes.end(), packed, packed + sizeof packed);
     }
-    return bytes;
-}
-
-TEST(Container, LegacyV1ReadsInFull)
-{
-    std::vector<Record> back;
-    const ScanReport report = Scan(V1Container(7), &back);
-    EXPECT_TRUE(report.intact());
-    EXPECT_TRUE(report.legacy_v1);
-    EXPECT_EQ(report.records_salvaged, 7u);
-    EXPECT_EQ(back, TestRecords(7));
-}
-
-TEST(Container, LegacyV1TruncationKeepsWholeRecords)
-{
-    std::vector<uint8_t> bytes = V1Container(7);
-    bytes.resize(bytes.size() - 3);  // tear the last record
 
     std::vector<Record> back;
     const ScanReport report = Scan(bytes, &back);
+    EXPECT_FALSE(report.recognized);
     EXPECT_FALSE(report.intact());
-    EXPECT_EQ(report.records_salvaged, 6u);
-    ASSERT_EQ(report.issues.size(), 1u);
-    EXPECT_NE(report.issues[0].error.find("truncated"), std::string::npos);
-}
-
-TEST(Container, LegacyV1StopsAtImplausibleRecord)
-{
-    std::vector<uint8_t> bytes = V1Container(7);
-    // Poison record 3's type byte: v1 has no checksums, so nothing after
-    // this point can be trusted (the bytes may be misaligned garbage).
-    bytes[sizeof kV1Magic + 3 * kRecordBytes + 4] = 0xFF;
-
-    std::vector<Record> back;
-    const ScanReport report = Scan(bytes, &back);
-    EXPECT_FALSE(report.intact());
-    EXPECT_EQ(report.records_salvaged, 3u);
-    EXPECT_EQ(back, TestRecords(3));
+    EXPECT_EQ(report.records_salvaged, 0u);
+    EXPECT_TRUE(back.empty());
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection through the writer.
+// Fault injection through FileByteSink / FileByteSource, at the one fault
+// seam: an io::ChaosVfs over an io::MemVfs. Chaos op indices are 1-based
+// per operation class; with 4 records per chunk, write #1 is the header
+// and write #k+2 is chunk k's flush.
+
+constexpr char kFaultPath[] = "fault.atf2";
+
+io::ChaosSchedule
+OneFault(const io::ChaosOp& op)
+{
+    io::ChaosSchedule schedule;
+    schedule.ops.push_back(op);
+    return schedule;
+}
+
+/** Writes `records` (4 per chunk) to kFaultPath on `vfs`. */
+util::Status
+WriteFile(io::Vfs& vfs, const std::vector<Record>& records)
+{
+    util::StatusOr<std::unique_ptr<FileByteSink>> sink =
+        FileByteSink::Open(kFaultPath, vfs);
+    if (!sink.ok())
+        return sink.status();
+    const util::Status status =
+        WriteAtf2(**sink, records, {.chunk_records = 4});
+    (void)(*sink)->Close();
+    return status;
+}
+
+/** Scans kFaultPath on `vfs` the way every trace reader does. */
+ScanReport
+ScanFile(io::Vfs& vfs, std::vector<Record>* out = nullptr)
+{
+    util::StatusOr<std::unique_ptr<FileByteSource>> in =
+        FileByteSource::Open(kFaultPath, vfs);
+    EXPECT_TRUE(in.ok()) << in.status().ToString();
+    if (!in.ok())
+        return ScanReport{};
+    return ScanTrace(**in, out);
+}
 
 TEST(Container, FailedAppendConsumesNothingAndIsRetryable)
 {
-    MemoryByteSink base;
-    // Write 0 is the header; write 1 is chunk 0's flush.
-    FaultySink sink(base, FaultPlan{}.FailWrite(1));
-    Atf2Writer writer(sink, {.chunk_records = 4});
+    io::MemVfs mem;
+    io::ChaosVfs vfs(mem,
+                     OneFault({io::ChaosOpKind::kFailWrite, /*at=*/2}));
+    util::StatusOr<std::unique_ptr<FileByteSink>> sink =
+        FileByteSink::Open(kFaultPath, vfs);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+    Atf2Writer writer(**sink, {.chunk_records = 4});
 
     const std::vector<Record> records = TestRecords(10);
     uint64_t delivered = 0;
@@ -284,28 +297,29 @@ TEST(Container, FailedAppendConsumesNothingAndIsRetryable)
             ++retries;  // same record goes again: nothing was consumed
     }
     ASSERT_TRUE(writer.Seal().ok());
+    ASSERT_TRUE((*sink)->Close().ok());
     EXPECT_EQ(retries, 1u);
-    EXPECT_EQ(sink.faults_fired(), 1u);
+    EXPECT_EQ(vfs.faults_fired(), 1u);
 
     // Despite the mid-stream failure and retry: no duplicate, no gap.
     std::vector<Record> back;
-    const ScanReport report = Scan(base.bytes(), &back);
+    const ScanReport report = ScanFile(mem, &back);
     EXPECT_TRUE(report.intact());
     EXPECT_EQ(back, records);
 }
 
-TEST(Container, CrashTruncationLeavesRecoverablePrefix)
+TEST(Container, ShortWriteLeavesRecoverablePrefix)
 {
-    MemoryByteSink base;
-    // Crash model: everything past byte 100 claims success but vanishes.
-    // 100 bytes = header (32) + chunk 0 (48) + 20 bytes of chunk 1.
-    FaultySink sink(base, FaultPlan{}.TruncateAt(100));
-    ASSERT_TRUE(
-        WriteAtf2(sink, TestRecords(10), {.chunk_records = 4}).ok());
-    ASSERT_EQ(base.bytes().size(), 100u);
+    io::MemVfs mem;
+    // Chunk 1's flush lands only 20 bytes and fails: the file ends at
+    // byte 100 = header (32) + chunk 0 (48) + 20 bytes of chunk 1.
+    io::ChaosVfs vfs(mem, OneFault({io::ChaosOpKind::kShortWrite,
+                                    /*at=*/3, /*arg=*/20}));
+    EXPECT_FALSE(WriteFile(vfs, TestRecords(10)).ok());
+    ASSERT_EQ(mem.ReadAll(kFaultPath)->size(), 100u);
 
     std::vector<Record> back;
-    const ScanReport report = Scan(base.bytes(), &back);
+    const ScanReport report = ScanFile(mem, &back);
     EXPECT_FALSE(report.intact());
     EXPECT_FALSE(report.sealed);
     EXPECT_EQ(report.records_salvaged, 4u);
@@ -314,12 +328,14 @@ TEST(Container, CrashTruncationLeavesRecoverablePrefix)
 
 TEST(Container, InFlightFlipIsDetected)
 {
-    MemoryByteSink base;
-    FaultySink sink(base, FaultPlan{}.FlipByte(kChunk1 + 20));
-    ASSERT_TRUE(
-        WriteAtf2(sink, TestRecords(10), {.chunk_records = 4}).ok());
+    io::MemVfs mem;
+    // Byte 20 of chunk 1's flush (file offset kChunk1 + 20) is flipped
+    // in flight while the write reports success.
+    io::ChaosVfs vfs(mem, OneFault({io::ChaosOpKind::kFlipWrite,
+                                    /*at=*/3, /*arg=*/20}));
+    ASSERT_TRUE(WriteFile(vfs, TestRecords(10)).ok());
 
-    const ScanReport report = Scan(base.bytes());
+    const ScanReport report = ScanFile(mem);
     EXPECT_FALSE(report.intact());
     EXPECT_EQ(report.chunks_bad, 1u);
     EXPECT_EQ(report.records_salvaged, 6u);
@@ -327,10 +343,10 @@ TEST(Container, InFlightFlipIsDetected)
 
 TEST(Container, FailedReadIsReportedNotFatal)
 {
-    const std::vector<uint8_t> bytes = SealedContainer(10);
-    MemoryByteSource base(bytes);
-    FaultySource source(base, FaultPlan{}.FailRead(0));
-    const ScanReport report = ScanTrace(source, nullptr);
+    io::MemVfs mem;
+    ASSERT_TRUE(WriteFile(mem, TestRecords(10)).ok());
+    io::ChaosVfs vfs(mem, OneFault({io::ChaosOpKind::kFailRead, /*at=*/1}));
+    const ScanReport report = ScanFile(vfs);
     EXPECT_FALSE(report.intact());
     EXPECT_EQ(report.records_salvaged, 0u);
     ASSERT_FALSE(report.issues.empty());
@@ -353,17 +369,6 @@ TEST(Container, SalvageOfDamagedFileVerifiesIntact)
     const ScanReport report = Scan(repaired.bytes(), &back);
     EXPECT_TRUE(report.intact());
     EXPECT_EQ(back, salvaged);
-}
-
-TEST(Container, RandomPlansAreDeterministic)
-{
-    const FaultPlan a = FaultPlan::Random(42, 4096, 3);
-    const FaultPlan b = FaultPlan::Random(42, 4096, 3);
-    ASSERT_EQ(a.ops.size(), b.ops.size());
-    for (size_t i = 0; i < a.ops.size(); ++i)
-        EXPECT_EQ(a.ops[i].ToString(), b.ops[i].ToString());
-    const FaultPlan c = FaultPlan::Random(43, 4096, 3);
-    EXPECT_NE(a.ToString(), c.ToString());
 }
 
 // ---------------------------------------------------------------------------

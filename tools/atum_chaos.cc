@@ -3,51 +3,56 @@
 //
 // Usage:
 //   atum-chaos --campaign powercut,enospc,torn-rename [--seeds N]
-//              [--first-seed S] [--workload NAME] [--scale N]
-//              [--max-instructions N] [--buffer-kb N] [--chunk-records N]
-//              [--checkpoint-every FILLS] [--checkpoint-keep K]
-//              [--out-dir DIR] [--no-minimize] [--verbose]
+//              [--first-seed S] [shape flags] [--out-dir DIR]
+//              [--no-minimize] [--verbose]
 //   atum-chaos --serve --campaign ... [--jobs N] [--tenants N]
-//              [--sweeps [N]] [--sweep-configs N] [... shared shape flags]
+//              [--sweeps [N]] [--sweep-configs N] [... as above]
 //   atum-chaos --net [--campaign net-flaky,net-cut,...] [--submits N]
-//              [--tenants N] [--attempts N] [... shared shape flags]
+//              [--tenants N] [--attempts N] [... as above]
 //   atum-chaos --fuzz-protocol [--seeds N] [--first-seed S]
-//   atum-chaos --replay FILE [--serve|--net] [--minimize] [... shape flags]
-//   atum-chaos --probe [--serve|--net] [... shape flags]
+//   atum-chaos --replay FILE [--serve|--net] [shape flags]
+//   atum-chaos --probe [--serve|--net] [--first-seed S] [shape flags]
 //   atum-chaos --version
 //
-// Each seed runs one complete disaster drill inside an in-memory
-// filesystem: a supervised capture is subjected to a deterministic fault
-// schedule (ENOSPC bursts, torn renames, bit-flips, power cuts), then
-// recovered the way an operator would — resume from the newest loadable
-// checkpoint or salvage the trace with the tolerant scanner — and the
-// no-silent-loss invariants are checked (docs/CHAOS.md).
+// Shape flags (every family): --workload NAME --scale N
+//   --max-instructions N --buffer-kb N --chunk-records N
+//   --checkpoint-every FILLS --checkpoint-keep K
 //
-// With --serve the subject is the whole atum-serve daemon instead of one
-// capture: each seed scripts a multi-tenant mix of submits, runs and a
-// cancel into a drill-mode ServeCore, kills it mid-flight when the
-// schedule's power cut fires, restarts it on the crash-consistent disk
-// image, and checks the recovery invariants — no acked job lost, no job
-// double-run, journal and traces clean (docs/SERVE.md).
+// One driver runs three drill families (chaos::DrillFamily, docs/CHAOS.md).
+// Each seed rolls a deterministic fault schedule, runs one complete
+// disaster drill inside in-memory disks and wires, recovers the way an
+// operator would, and checks that family's invariants. The flags fill one
+// chaos::DrillSpec; a shape flag overrides the family's default.
 //
-// --serve --sweeps adds a replay-sweep phase to every drill: after its
-// captures drain, each seed submits seed-scripted sweeps (some with a
-// deliberately invalid config) and the kill can land mid-sweep, with
-// some per-config rows journaled and some not. The battery then also
-// enforces S4 (no journaled row lost or altered after it was reported)
-// and S5 (the recovered sweep is bit-identical to a clean run). With no
-// --campaign, --sweeps defaults to powercut,enospc,torn-rename.
+//   (default) capture — a supervised capture under ENOSPC bursts, torn
+//     renames, bit-flips and power cuts, recovered by resuming from the
+//     newest loadable checkpoint or salvaging the trace. Checks I1
+//     accounting, I2 durable checkpoint, I3 prefix consistency.
 //
-// With --net the subject is the daemon's WIRE instead of its disk: each
-// seed scripts a multi-tenant client that delivers tokened submits over
-// a simulated hostile connection (short/failed sends, mid-frame
-// disconnects, bit flips, stalls, duplicated retries, SIGKILL-restarts
-// of the daemon itself), and the battery checks the network-robustness
-// invariants — N1 no submit double-runs however often it is delivered,
-// N2 the daemon answers garbage with a structured error and never
-// wedges, N3 every ack for one idempotency token names the same job
-// (docs/SERVE.md "Network failure model"). With no --campaign, --net
-// defaults to all six net fault mixes.
+//   --serve — the whole atum-serve daemon: each seed scripts a multi-
+//     tenant mix of submits, runs and a cancel (--jobs, --tenants) into a
+//     drill-mode ServeCore, kills it when the schedule's power cut fires,
+//     restarts it on the crash-consistent disk and checks S1 no lost job,
+//     S2 no double-run, S3 journal and traces clean (docs/SERVE.md).
+//     --sweeps adds seed-scripted replay sweeps (some with a deliberately
+//     invalid config) so the kill can land mid-sweep, and the battery
+//     also enforces S4 (no journaled row lost or altered) and S5 (the
+//     recovered sweep is bit-identical to a clean run). With --sweeps the
+//     captures are lightened (2 jobs, 2000 instructions, 8 KiB buffer)
+//     unless shaped explicitly, and with no --campaign the mix defaults
+//     to powercut,enospc,torn-rename.
+//
+//   --net — the daemon's wire: a multi-tenant client delivers --submits
+//     tokened submits over a hostile connection (short/failed sends, mid-
+//     frame disconnects, bit flips, stalls, duplicated retries, SIGKILL-
+//     restarts), retrying ambiguous outcomes up to --attempts times, and
+//     the battery checks N1 no double-run, N2 no crash or wedge, N3 every
+//     ack for one token names the same job (docs/SERVE.md "Network
+//     failure model"). With no --campaign the mix defaults to all six net
+//     fault mixes.
+//
+// --jobs, --sweeps and --sweep-configs need --serve; --submits and
+// --attempts need --net (--jobs and --submits set the same spec field).
 //
 // --fuzz-protocol skips the drill machinery and feeds --seeds seeded
 // mutations of framed traffic (bit flips, truncations, tampered length
@@ -57,8 +62,9 @@
 // survive their own round trip.
 //
 // A failing seed's schedule is minimized (unless --no-minimize) and, with
-// --out-dir, written as DIR/failing-seed-N.schedule; such a file replays
-// the identical failure forever via --replay and belongs in
+// --out-dir, written as DIR/failing-seed-N.schedule (failing-serve-seed-N,
+// failing-net-seed-N for the daemon drills); such a file replays the
+// identical failure forever via --replay and belongs in
 // tests/chaos_corpus/ as a regression test.
 //
 // Exit codes follow the shared contract in util/status.h:
@@ -70,6 +76,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,21 +101,16 @@ UsageError(Args&&... args)
 }
 
 struct Options {
-    std::vector<std::string> campaigns;
     uint64_t seeds = 50;
     uint64_t first_seed = 1;
     std::string replay;   // schedule file to replay instead of a campaign
     std::string out_dir;  // where failing schedules are written
     bool probe = false;   // print the fault-free op counts and exit
-    bool serve = false;   // drill the serve daemon, not a lone capture
-    bool net = false;     // drill the daemon's wire, not its disk
     bool fuzz = false;    // fuzz the frame/request codec, no drill
     bool minimize = true;
     bool verbose = false;
 
-    chaos::CampaignSpec spec;
-    chaos::ServeCampaignSpec serve_spec;
-    chaos::NetCampaignSpec net_spec;
+    chaos::DrillSpec spec;
 };
 
 std::vector<std::string>
@@ -142,9 +144,15 @@ Options
 ParseArgs(int argc, char** argv)
 {
     Options opts;
-    bool jobs_set = false;
-    bool max_instructions_set = false;
-    bool buffer_set = false;
+    bool serve = false;
+    bool net = false;
+    uint32_t sweeps = 0;
+    std::string serve_flag;  // first --serve-only flag seen
+    std::string net_flag;    // first --net-only flag seen
+    // Shape flags may precede --serve/--net, whose defaults they
+    // override, so they are applied once the family is known.
+    std::vector<std::function<void(chaos::DrillSpec&)>> shape;
+    std::vector<std::string> campaigns;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
@@ -152,8 +160,11 @@ ParseArgs(int argc, char** argv)
                 UsageError(arg, " requires a value");
             return argv[++i];
         };
+        auto next_u32 = [&]() {
+            return static_cast<uint32_t>(ParseUint(arg, next()));
+        };
         if (arg == "--campaign")
-            opts.campaigns = SplitCommas(next());
+            campaigns = SplitCommas(next());
         else if (arg == "--seeds")
             opts.seeds = ParseUint(arg, next());
         else if (arg == "--first-seed")
@@ -163,80 +174,72 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--probe")
             opts.probe = true;
         else if (arg == "--serve")
-            opts.serve = true;
+            serve = true;
         else if (arg == "--net")
-            opts.net = true;
+            net = true;
         else if (arg == "--fuzz-protocol")
             opts.fuzz = true;
-        else if (arg == "--submits")
-            opts.net_spec.submits =
-                static_cast<uint32_t>(ParseUint(arg, next()));
-        else if (arg == "--attempts")
-            opts.net_spec.max_attempts =
-                static_cast<uint32_t>(ParseUint(arg, next()));
-        else if (arg == "--jobs") {
-            opts.serve_spec.jobs =
-                static_cast<uint32_t>(ParseUint(arg, next()));
-            jobs_set = true;
-        }
-        else if (arg == "--tenants")
-            opts.serve_spec.tenants = opts.net_spec.tenants =
-                static_cast<uint32_t>(ParseUint(arg, next()));
-        else if (arg == "--sweeps") {
+        else if (arg == "--jobs" || arg == "--submits") {
+            const uint32_t v = next_u32();
+            shape.push_back([v](chaos::DrillSpec& s) { s.jobs = v; });
+            (arg == "--jobs" ? serve_flag : net_flag) = arg;
+        } else if (arg == "--attempts") {
+            const uint32_t v = next_u32();
+            shape.push_back([v](chaos::DrillSpec& s) { s.max_attempts = v; });
+            net_flag = arg;
+        } else if (arg == "--tenants") {
+            const uint32_t v = next_u32();
+            shape.push_back([v](chaos::DrillSpec& s) { s.tenants = v; });
+        } else if (arg == "--sweeps") {
             // Bare --sweeps enables the default sweep mix; a following
             // number sets how many sweeps each drill submits.
-            opts.serve_spec.sweeps = 2;
+            sweeps = 2;
             if (i + 1 < argc && argv[i + 1][0] != '-' &&
                 argv[i + 1][0] != '\0') {
                 char* end = nullptr;
                 const unsigned long long v =
                     std::strtoull(argv[i + 1], &end, 10);
                 if (end != argv[i + 1] && *end == '\0') {
-                    opts.serve_spec.sweeps = static_cast<uint32_t>(v);
+                    sweeps = static_cast<uint32_t>(v);
                     ++i;
                 }
             }
-        } else if (arg == "--sweep-configs")
-            opts.serve_spec.sweep_configs =
-                static_cast<uint32_t>(ParseUint(arg, next()));
-        else if (arg == "--out-dir")
+            serve_flag = arg;
+        } else if (arg == "--sweep-configs") {
+            const uint32_t v = next_u32();
+            shape.push_back([v](chaos::DrillSpec& s) { s.sweep_configs = v; });
+            serve_flag = arg;
+        } else if (arg == "--out-dir")
             opts.out_dir = next();
         else if (arg == "--no-minimize")
             opts.minimize = false;
-        else if (arg == "--minimize")
-            opts.minimize = true;
         else if (arg == "--verbose")
             opts.verbose = true;
-        else if (arg == "--workload")
-            opts.spec.workload = opts.serve_spec.workload =
-                opts.net_spec.workload = next();
-        else if (arg == "--scale")
-            opts.spec.scale = opts.serve_spec.scale = opts.net_spec.scale =
-                static_cast<uint32_t>(ParseUint(arg, next()));
-        else if (arg == "--max-instructions") {
-            opts.spec.max_instructions = opts.serve_spec.max_instructions =
-                opts.net_spec.max_instructions = ParseUint(arg, next());
-            max_instructions_set = true;
+        else if (arg == "--workload") {
+            const std::string v = next();
+            shape.push_back([v](chaos::DrillSpec& s) { s.workload = v; });
+        } else if (arg == "--scale") {
+            const uint32_t v = next_u32();
+            shape.push_back([v](chaos::DrillSpec& s) { s.scale = v; });
+        } else if (arg == "--max-instructions") {
+            const uint64_t v = ParseUint(arg, next());
+            shape.push_back(
+                [v](chaos::DrillSpec& s) { s.max_instructions = v; });
         } else if (arg == "--buffer-kb") {
-            opts.spec.buffer_bytes = opts.serve_spec.buffer_bytes =
-                opts.net_spec.buffer_bytes =
-                    static_cast<uint32_t>(ParseUint(arg, next())) << 10;
-            buffer_set = true;
-        }
-        else if (arg == "--chunk-records")
-            opts.spec.chunk_records = opts.serve_spec.chunk_records =
-                opts.net_spec.chunk_records =
-                    static_cast<uint32_t>(ParseUint(arg, next()));
-        else if (arg == "--checkpoint-every")
-            opts.spec.checkpoint_every_fills =
-                opts.serve_spec.checkpoint_every_fills =
-                    opts.net_spec.checkpoint_every_fills =
-                        ParseUint(arg, next());
-        else if (arg == "--checkpoint-keep")
-            opts.spec.keep_checkpoints = opts.serve_spec.keep_checkpoints =
-                opts.net_spec.keep_checkpoints =
-                    static_cast<uint32_t>(ParseUint(arg, next()));
-        else if (arg == "--version") {
+            const uint32_t v = next_u32() << 10;
+            shape.push_back([v](chaos::DrillSpec& s) { s.buffer_bytes = v; });
+        } else if (arg == "--chunk-records") {
+            const uint32_t v = next_u32();
+            shape.push_back([v](chaos::DrillSpec& s) { s.chunk_records = v; });
+        } else if (arg == "--checkpoint-every") {
+            const uint64_t v = ParseUint(arg, next());
+            shape.push_back(
+                [v](chaos::DrillSpec& s) { s.checkpoint_every_fills = v; });
+        } else if (arg == "--checkpoint-keep") {
+            const uint32_t v = next_u32();
+            shape.push_back(
+                [v](chaos::DrillSpec& s) { s.keep_checkpoints = v; });
+        } else if (arg == "--version") {
             std::printf("%s\n", util::VersionString("atum-chaos").c_str());
             std::exit(util::kExitOk);
         } else {
@@ -244,35 +247,45 @@ ParseArgs(int argc, char** argv)
                        " (see the header of tools/atum_chaos.cc)");
         }
     }
-    if (opts.serve && opts.serve_spec.sweeps > 0) {
+    if (serve && net)
+        UsageError("--serve and --net are mutually exclusive");
+    if (!serve_flag.empty() && !serve)
+        UsageError(serve_flag, " requires --serve");
+    if (!net_flag.empty() && !net)
+        UsageError(net_flag, " requires --net");
+
+    opts.spec = chaos::DrillSpec(serve ? chaos::DrillFamily::kServe
+                                 : net ? chaos::DrillFamily::kNet
+                                       : chaos::DrillFamily::kCapture);
+    opts.spec.sweeps = sweeps;
+    if (sweeps > 0) {
         // Sweep drills want the kill to have a real chance of landing
         // mid-sweep; the classic capture shape buries the sweep phase
         // under thousands of capture I/O ops. Lighten the captures
-        // unless the caller shaped them explicitly.
-        if (!jobs_set)
-            opts.serve_spec.jobs = 2;
-        if (!max_instructions_set)
-            opts.serve_spec.max_instructions = 2000;
-        if (!buffer_set)
-            opts.serve_spec.buffer_bytes = 8u << 10;
+        // unless the caller shaped them explicitly (applied below).
+        opts.spec.jobs = 2;
+        opts.spec.max_instructions = 2000;
+        opts.spec.buffer_bytes = 8u << 10;
     }
-    if (opts.serve && opts.net)
-        UsageError("--serve and --net are mutually exclusive");
-    if (opts.replay.empty() && opts.campaigns.empty() && !opts.probe &&
+    for (const auto& apply : shape)
+        apply(opts.spec);
+
+    opts.spec.campaigns = campaigns;
+    if (opts.replay.empty() && campaigns.empty() && !opts.probe &&
         !opts.fuzz) {
         // Bare --serve --sweeps and bare --net work out of the box with
         // their natural mixes; everything else still requires an
         // explicit mode.
-        if (opts.serve && opts.serve_spec.sweeps > 0)
-            opts.campaigns = {"powercut", "enospc", "torn-rename"};
-        else if (opts.net)
-            opts.campaigns = {"net-flaky", "net-cut",   "net-flip",
-                              "net-stall", "net-dup", "net-kill"};
+        if (sweeps > 0)
+            opts.spec.campaigns = {"powercut", "enospc", "torn-rename"};
+        else if (net)
+            opts.spec.campaigns = {"net-flaky", "net-cut",   "net-flip",
+                                   "net-stall", "net-dup", "net-kill"};
         else
             UsageError("--campaign, --replay, --probe or "
                        "--fuzz-protocol is required");
     }
-    if (!opts.replay.empty() && !opts.campaigns.empty())
+    if (!opts.replay.empty() && !campaigns.empty())
         UsageError("--campaign and --replay are mutually exclusive");
     if (opts.seeds == 0)
         UsageError("--seeds must be at least 1");
@@ -312,10 +325,25 @@ WriteFileOrDie(const std::string& path, const std::string& body)
         IoFatal("cannot write ", path);
 }
 
+/** The family's word in campaign lines and repro file names; the
+ *  capture drill, the original, goes unnamed. */
+std::string
+FamilyTag(chaos::DrillFamily family)
+{
+    switch (family) {
+      case chaos::DrillFamily::kServe:
+        return "serve";
+      case chaos::DrillFamily::kNet:
+        return "net";
+      case chaos::DrillFamily::kCapture:
+        break;
+    }
+    return "";
+}
+
 /**
  * Minimizes (optionally) and reports one failing seed; writes the repro
- * schedule under --out-dir when given. Returns the schedule actually
- * reported (minimized or original).
+ * schedule under --out-dir when given.
  */
 void
 ReportFailure(const Options& opts, const chaos::SeedResult& failure)
@@ -334,63 +362,9 @@ ReportFailure(const Options& opts, const chaos::SeedResult& failure)
     obs::flight::Note("chaos.seed-failure", failure.Summary().c_str(),
                       failure.seed, 0);
     if (!opts.out_dir.empty()) {
-        const std::string path = opts.out_dir + "/failing-seed-" +
-                                 std::to_string(failure.seed) + ".schedule";
-        WriteFileOrDie(path, repro.Serialize());
-        std::fprintf(stderr, "  repro written to %s\n", path.c_str());
-    } else {
-        std::fprintf(stderr, "  repro schedule:\n%s",
-                     repro.Serialize().c_str());
-    }
-}
-
-/** ReportFailure for a failing serve drill (MinimizeServe instead). */
-void
-ReportServeFailure(const Options& opts, const chaos::ServeSeedResult& failure)
-{
-    io::ChaosSchedule repro = failure.schedule;
-    if (opts.minimize) {
-        util::StatusOr<io::ChaosSchedule> minimized =
-            chaos::MinimizeServe(opts.serve_spec, failure.schedule);
-        if (minimized.ok())
-            repro = *minimized;
-        else
-            std::fprintf(stderr, "atum-chaos: minimize failed: %s\n",
-                         minimized.status().ToString().c_str());
-    }
-    std::fprintf(stderr, "FAIL %s\n", failure.Summary().c_str());
-    obs::flight::Note("chaos.seed-failure", failure.Summary().c_str(),
-                      failure.seed, 0);
-    if (!opts.out_dir.empty()) {
-        const std::string path = opts.out_dir + "/failing-serve-seed-" +
-                                 std::to_string(failure.seed) + ".schedule";
-        WriteFileOrDie(path, repro.Serialize());
-        std::fprintf(stderr, "  repro written to %s\n", path.c_str());
-    } else {
-        std::fprintf(stderr, "  repro schedule:\n%s",
-                     repro.Serialize().c_str());
-    }
-}
-
-/** ReportFailure for a failing net drill (MinimizeNet instead). */
-void
-ReportNetFailure(const Options& opts, const chaos::NetSeedResult& failure)
-{
-    io::ChaosSchedule repro = failure.schedule;
-    if (opts.minimize) {
-        util::StatusOr<io::ChaosSchedule> minimized =
-            chaos::MinimizeNet(opts.net_spec, failure.schedule);
-        if (minimized.ok())
-            repro = *minimized;
-        else
-            std::fprintf(stderr, "atum-chaos: minimize failed: %s\n",
-                         minimized.status().ToString().c_str());
-    }
-    std::fprintf(stderr, "FAIL %s\n", failure.Summary().c_str());
-    obs::flight::Note("chaos.seed-failure", failure.Summary().c_str(),
-                      failure.seed, 0);
-    if (!opts.out_dir.empty()) {
-        const std::string path = opts.out_dir + "/failing-net-seed-" +
+        const std::string tag = FamilyTag(opts.spec.family);
+        const std::string path = opts.out_dir + "/failing-" +
+                                 (tag.empty() ? "" : tag + "-") + "seed-" +
                                  std::to_string(failure.seed) + ".schedule";
         WriteFileOrDie(path, repro.Serialize());
         std::fprintf(stderr, "  repro written to %s\n", path.c_str());
@@ -405,11 +379,7 @@ int
 RunProbe(const Options& opts)
 {
     util::StatusOr<io::OpCounts> probe =
-        opts.net
-            ? chaos::ProbeNetOpCounts(opts.net_spec, opts.first_seed)
-        : opts.serve
-            ? chaos::ProbeServeOpCounts(opts.serve_spec, opts.first_seed)
-            : chaos::ProbeOpCounts(opts.spec);
+        chaos::ProbeOpCounts(opts.spec, opts.first_seed);
     if (!probe.ok())
         IoFatal("probe failed: ", probe.status().ToString());
     std::printf("writes %llu\nsyncs %llu\nreads %llu\nrenames %llu\n"
@@ -428,105 +398,25 @@ RunProbe(const Options& opts)
 }
 
 int
-RunReplay(const Options& opts)
+RunReplay(Options& opts)
 {
     util::StatusOr<io::ChaosSchedule> schedule =
         io::ChaosSchedule::Parse(ReadFileOrDie(opts.replay));
     if (!schedule.ok())
         IoFatal(opts.replay, ": ", schedule.status().ToString());
-
-    if (opts.net) {
-        chaos::NetCampaignSpec spec = opts.net_spec;
-        if (spec.campaigns.empty())
-            spec.campaigns = schedule->campaigns;
-        util::StatusOr<chaos::NetSeedResult> result =
-            chaos::ReplayNetSchedule(spec, *schedule);
-        if (!result.ok())
-            IoFatal("replay failed to run: ", result.status().ToString());
-        std::printf("%s\n", result->Summary().c_str());
-        if (result->ok())
-            return util::kExitOk;
-        Options report_opts = opts;
-        report_opts.net_spec = spec;
-        ReportNetFailure(report_opts, *result);
-        return util::kExitError;
-    }
-
-    if (opts.serve) {
-        chaos::ServeCampaignSpec spec = opts.serve_spec;
-        if (spec.campaigns.empty())
-            spec.campaigns = schedule->campaigns;
-        util::StatusOr<chaos::ServeSeedResult> result =
-            chaos::ReplayServeSchedule(spec, *schedule);
-        if (!result.ok())
-            IoFatal("replay failed to run: ", result.status().ToString());
-        std::printf("%s\n", result->Summary().c_str());
-        if (result->ok())
-            return util::kExitOk;
-        Options report_opts = opts;
-        report_opts.serve_spec = spec;
-        ReportServeFailure(report_opts, *result);
-        return util::kExitError;
-    }
-
-    chaos::CampaignSpec spec = opts.spec;
-    if (spec.campaigns.empty())
-        spec.campaigns = schedule->campaigns;
+    if (opts.spec.campaigns.empty())
+        opts.spec.campaigns = schedule->campaigns;
 
     util::StatusOr<chaos::SeedResult> result =
-        chaos::ReplaySchedule(spec, *schedule);
+        chaos::ReplaySchedule(opts.spec, *schedule);
     if (!result.ok())
         IoFatal("replay failed to run: ", result.status().ToString());
 
     std::printf("%s\n", result->Summary().c_str());
     if (result->ok())
         return util::kExitOk;
-    Options report_opts = opts;
-    report_opts.spec = spec;
-    ReportFailure(report_opts, *result);
+    ReportFailure(opts, *result);
     return util::kExitError;
-}
-
-/** The hostile-network campaign (--net). */
-int
-RunNetSeeds(Options& opts)
-{
-    opts.net_spec.campaigns = opts.campaigns;
-    uint64_t done = 0;
-    const auto on_seed = [&](const chaos::NetSeedResult& r) {
-        ++done;
-        if (opts.verbose || !r.ok())
-            std::printf("%s\n", r.Summary().c_str());
-        else if (done % 50 == 0)
-            std::printf("... %llu/%llu seeds\n",
-                        static_cast<unsigned long long>(done),
-                        static_cast<unsigned long long>(opts.seeds));
-    };
-
-    util::StatusOr<chaos::NetCampaignResult> result =
-        chaos::RunNetCampaign(opts.net_spec, opts.first_seed, opts.seeds,
-                              on_seed);
-    if (!result.ok())
-        IoFatal("net campaign failed to run: ", result.status().ToString());
-
-    std::printf(
-        "net campaign: %llu seeds, %llu faults fired, %llu kills, "
-        "%llu acks (%llu dedup), %llu retries, %zu failing\n",
-        static_cast<unsigned long long>(result->seeds_run),
-        static_cast<unsigned long long>(result->faults_fired),
-        static_cast<unsigned long long>(result->kills),
-        static_cast<unsigned long long>(result->acks),
-        static_cast<unsigned long long>(result->dup_acks),
-        static_cast<unsigned long long>(result->retries),
-        result->failures.size());
-
-    for (const chaos::NetSeedResult& failure : result->failures)
-        ReportNetFailure(opts, failure);
-    if (!result->ok() && obs::flight::Armed() &&
-        obs::flight::DumpNow("campaign-failure"))
-        std::fprintf(stderr, "  flight recorder: %s/chaos.flight.json\n",
-                     opts.out_dir.c_str());
-    return result->ok() ? util::kExitOk : util::kExitError;
 }
 
 /** The protocol codec fuzzer (--fuzz-protocol): --seeds is the input
@@ -540,58 +430,9 @@ RunFuzz(const Options& opts)
     return report.ok() ? util::kExitOk : util::kExitError;
 }
 
-/** The serve kill-restart campaign (--serve --campaign ...). */
 int
-RunServeSeeds(Options& opts)
+RunSeeds(const Options& opts)
 {
-    opts.serve_spec.campaigns = opts.campaigns;
-    uint64_t done = 0;
-    const auto on_seed = [&](const chaos::ServeSeedResult& r) {
-        ++done;
-        if (opts.verbose || !r.ok())
-            std::printf("%s\n", r.Summary().c_str());
-        else if (done % 50 == 0)
-            std::printf("... %llu/%llu seeds\n",
-                        static_cast<unsigned long long>(done),
-                        static_cast<unsigned long long>(opts.seeds));
-    };
-
-    util::StatusOr<chaos::ServeCampaignResult> result =
-        chaos::RunServeCampaign(opts.serve_spec, opts.first_seed, opts.seeds,
-                                on_seed);
-    if (!result.ok())
-        IoFatal("serve campaign failed to run: ", result.status().ToString());
-
-    std::printf(
-        "serve campaign: %llu seeds, %llu faults fired, %llu power cuts, "
-        "%llu resumes, %llu salvages, %zu failing\n",
-        static_cast<unsigned long long>(result->seeds_run),
-        static_cast<unsigned long long>(result->faults_fired),
-        static_cast<unsigned long long>(result->power_cuts),
-        static_cast<unsigned long long>(result->resumes),
-        static_cast<unsigned long long>(result->salvages),
-        result->failures.size());
-    if (opts.serve_spec.sweeps > 0)
-        std::printf(
-            "  sweeps: %llu acked, %llu rows complete, "
-            "%llu partial-journal resumes\n",
-            static_cast<unsigned long long>(result->sweeps_acked),
-            static_cast<unsigned long long>(result->sweep_rows),
-            static_cast<unsigned long long>(result->sweep_partial_resumes));
-
-    for (const chaos::ServeSeedResult& failure : result->failures)
-        ReportServeFailure(opts, failure);
-    if (!result->ok() && obs::flight::Armed() &&
-        obs::flight::DumpNow("campaign-failure"))
-        std::fprintf(stderr, "  flight recorder: %s/chaos.flight.json\n",
-                     opts.out_dir.c_str());
-    return result->ok() ? util::kExitOk : util::kExitError;
-}
-
-int
-RunSeeds(Options& opts)
-{
-    opts.spec.campaigns = opts.campaigns;
     uint64_t done = 0;
     const auto on_seed = [&](const chaos::SeedResult& r) {
         ++done;
@@ -603,20 +444,36 @@ RunSeeds(Options& opts)
                         static_cast<unsigned long long>(opts.seeds));
     };
 
+    const std::string tag = FamilyTag(opts.spec.family);
+    const std::string label = tag.empty() ? "campaign" : tag + " campaign";
     util::StatusOr<chaos::CampaignResult> result =
         chaos::RunCampaign(opts.spec, opts.first_seed, opts.seeds, on_seed);
     if (!result.ok())
-        IoFatal("campaign failed to run: ", result.status().ToString());
+        IoFatal(label, " failed to run: ", result.status().ToString());
 
-    std::printf(
-        "campaign: %llu seeds, %llu faults fired, %llu power cuts, "
-        "%llu resumes, %llu salvages, %zu failing\n",
-        static_cast<unsigned long long>(result->seeds_run),
-        static_cast<unsigned long long>(result->faults_fired),
-        static_cast<unsigned long long>(result->power_cuts),
-        static_cast<unsigned long long>(result->resumes),
-        static_cast<unsigned long long>(result->salvages),
-        result->failures.size());
+    const auto u = [](uint64_t v) {
+        return static_cast<unsigned long long>(v);
+    };
+    if (opts.spec.family == chaos::DrillFamily::kNet) {
+        std::printf("%s: %llu seeds, %llu faults fired, %llu kills, "
+                    "%llu acks (%llu dedup), %llu retries, %zu failing\n",
+                    label.c_str(), u(result->seeds_run),
+                    u(result->faults_fired), u(result->kills),
+                    u(result->acks), u(result->dup_acks),
+                    u(result->retries), result->failures.size());
+    } else {
+        std::printf("%s: %llu seeds, %llu faults fired, %llu power cuts, "
+                    "%llu resumes, %llu salvages, %zu failing\n",
+                    label.c_str(), u(result->seeds_run),
+                    u(result->faults_fired), u(result->power_cuts),
+                    u(result->resumes), u(result->salvages),
+                    result->failures.size());
+    }
+    if (opts.spec.sweeps > 0)
+        std::printf("  sweeps: %llu acked, %llu rows complete, "
+                    "%llu partial-journal resumes\n",
+                    u(result->sweeps_acked), u(result->sweep_rows),
+                    u(result->sweep_partial_resumes));
 
     for (const chaos::SeedResult& failure : result->failures)
         ReportFailure(opts, failure);
@@ -649,9 +506,5 @@ main(int argc, char** argv)
         return atum::RunProbe(opts);
     if (!opts.replay.empty())
         return atum::RunReplay(opts);
-    if (opts.net)
-        return atum::RunNetSeeds(opts);
-    if (opts.serve)
-        return atum::RunServeSeeds(opts);
     return atum::RunSeeds(opts);
 }
