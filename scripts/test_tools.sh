@@ -62,6 +62,18 @@ expect_exit 2 "$BUILD/tools/atum-report"
 expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --no-such-flag
 expect_exit 2 "$BUILD/tools/atum-capture" --no-such-flag
 expect_exit 2 "$BUILD/tools/atum-capture"
+# Numeric flag values must be well formed: "1e6" is not 1 (one captured
+# instruction) and "abc" is not 0; a refused capture leaves no file.
+expect_exit 2 "$BUILD/tools/atum-capture" --out "$TMP/n.atum" \
+    --max-instructions 1e6
+expect_exit 2 "$BUILD/tools/atum-capture" --out "$TMP/n.atum" --buffer-kb abc
+[ ! -e "$TMP/n.atum" ] || { echo "FAIL: refused capture left a file" >&2; exit 1; }
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --head -1
+expect_exit 2 "$BUILD/tools/atum-serve" --dir "$TMP" --workers 2x
+expect_exit 2 "$BUILD/tools/atum-submit" --socket "$TMP/absent.sock" \
+    --max-instructions 1e6 submit
+expect_exit 2 "$BUILD/tools/atum-top" --once --interval-ms abc "$TMP/absent"
+expect_exit 2 "$BUILD/tools/atum-chaos" --campaign powercut --seeds 4x
 expect_exit 3 "$BUILD/tools/atum-report" "$TMP/absent.atum"
 expect_exit 3 "$BUILD/tools/atum-capture" --out "$TMP/no/such/dir/t.atum"
 printf 'garbage!' > "$TMP/junk.bin"

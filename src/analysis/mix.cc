@@ -26,11 +26,4 @@ FootprintAnalyzer::Feed(const Record& record)
     }
 }
 
-void
-FootprintAnalyzer::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
-}
-
 }  // namespace atum::analysis

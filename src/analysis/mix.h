@@ -13,7 +13,6 @@
 #include <set>
 
 #include "trace/record.h"
-#include "trace/sink.h"
 
 namespace atum::analysis {
 
@@ -21,7 +20,6 @@ class FootprintAnalyzer
 {
   public:
     void Feed(const trace::Record& record);
-    void DriveAll(trace::TraceSource& source);
 
     uint64_t total_pages() const { return all_pages_.size(); }
     uint64_t kernel_pages() const { return kernel_pages_.size(); }

@@ -81,13 +81,6 @@ StackDistanceAnalyzer::Feed(const trace::Record& record)
         TouchBlock(record.addr >> block_shift_);
 }
 
-void
-StackDistanceAnalyzer::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
-}
-
 uint64_t
 StackDistanceAnalyzer::MissesForCapacity(uint64_t capacity_blocks) const
 {

@@ -17,12 +17,12 @@
  * O(N + B) space for N accesses and B distinct blocks.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "trace/record.h"
-#include "trace/sink.h"
 
 namespace atum::analysis {
 
@@ -37,7 +37,6 @@ class StackDistanceAnalyzer
 
     /** Processes a memory record's address (markers/PTE refs skipped). */
     void Feed(const trace::Record& record);
-    void DriveAll(trace::TraceSource& source);
 
     uint64_t total_accesses() const { return time_; }
     uint64_t cold_misses() const { return cold_misses_; }

@@ -47,13 +47,6 @@ WorkingSetAnalyzer::Feed(const trace::Record& record)
         Touch(PageOf(record));
 }
 
-void
-WorkingSetAnalyzer::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
-}
-
 double
 WorkingSetAnalyzer::AverageWorkingSet(size_t i) const
 {

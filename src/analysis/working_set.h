@@ -14,12 +14,12 @@
  * truncation is negligible for T >> tau).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "trace/record.h"
-#include "trace/sink.h"
 
 namespace atum::analysis {
 
@@ -33,7 +33,6 @@ class WorkingSetAnalyzer
      *  by the Feed(Record) overload. */
     void Touch(uint32_t page);
     void Feed(const trace::Record& record);
-    void DriveAll(trace::TraceSource& source);
 
     /** Total references seen. */
     uint64_t total_refs() const { return time_; }

@@ -61,13 +61,6 @@ CacheHierarchy::Feed(const Record& record)
            record.type == RecordType::kIFetch, pid);
 }
 
-void
-CacheHierarchy::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
-}
-
 double
 CacheHierarchy::GlobalMissRate() const
 {

@@ -14,7 +14,6 @@
 
 #include "cache/cache.h"
 #include "trace/record.h"
-#include "trace/sink.h"
 
 namespace atum::cache {
 
@@ -39,7 +38,6 @@ class CacheHierarchy
 
     /** Feeds a trace record (markers handle context switches). */
     void Feed(const trace::Record& record);
-    void DriveAll(trace::TraceSource& source);
 
     const Cache& l1i() const { return l1i_; }
     const Cache& l1d() const { return l1d_; }

@@ -58,11 +58,4 @@ TraceCacheDriver::Feed(const Record& record)
     ++fed_;
 }
 
-void
-TraceCacheDriver::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
-}
-
 }  // namespace atum::cache

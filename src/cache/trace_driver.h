@@ -12,7 +12,6 @@
 
 #include "cache/cache.h"
 #include "trace/record.h"
-#include "trace/sink.h"
 
 namespace atum::cache {
 
@@ -40,9 +39,6 @@ class TraceCacheDriver
 
     /** Feeds one record (records must arrive in trace order). */
     void Feed(const trace::Record& record);
-
-    /** Feeds every record of a source. */
-    void DriveAll(trace::TraceSource& source);
 
     /** References accepted (fed into a cache). */
     uint64_t fed() const { return fed_; }

@@ -91,28 +91,21 @@ struct CaptureOutcome {
     uint64_t tracer_lost = 0;
     bool end_degraded = false;
     uint32_t ckpts_written = 0;
-    uint64_t next_seq = 1;
 };
 
 CaptureOutcome
 RunCapture(const DrillSpec& spec, io::ChaosVfs& vfs)
 {
     CaptureOutcome out;
-    const cpu::Machine::Config mconfig = MachineConfigFor(spec);
-    const core::AtumConfig tconfig = TracerConfigFor(spec);
-
-    cpu::Machine machine(mconfig);
-    util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
-        trace::FileSink::Open(kTracePath,
-                              trace::Atf2WriterOptions{spec.chunk_records},
-                              vfs);
-    out.open_status = sink.status();
-    if (!sink.ok())
+    util::StatusOr<std::unique_ptr<core::Capture>> capture =
+        core::Capture::Start(kTracePath, MachineConfigFor(spec),
+                             TracerConfigFor(spec), spec.chunk_records, vfs);
+    out.open_status = capture.status();
+    if (!capture.ok())
         return out;
     out.sink_opened = true;
-
-    core::AtumTracer tracer(machine, **sink, tconfig);
-    kernel::BootSystem(machine,
+    core::Capture& stack = **capture;
+    kernel::BootSystem(stack.machine(),
                        {workloads::MakeWorkload(spec.workload, spec.scale)});
 
     core::CheckpointRotator rotator(kCkptBase, spec.keep_checkpoints, 1, vfs);
@@ -121,18 +114,14 @@ RunCapture(const DrillSpec& spec, io::ChaosVfs& vfs)
     sup.stop_flag = vfs.cut_flag();
     sup.checkpoints = &rotator;
     sup.checkpoint_every_fills = spec.checkpoint_every_fills;
-    sup.file_sink = sink->get();
-    sup.meta.machine_config = mconfig;
-    sup.meta.tracer_config = tconfig;
-    sup.meta.trace_path = kTracePath;
+    sup.file_sink = &stack.sink();
 
-    out.session = core::RunSupervised(machine, tracer, sup);
-    out.close_status = (*sink)->Close();
-    out.tracer_records = tracer.records();
-    out.tracer_lost = tracer.lost_records();
-    out.end_degraded = tracer.degraded();
+    out.session = core::RunSupervised(stack.machine(), stack.tracer(), sup);
+    out.close_status = stack.sink().Close();
+    out.tracer_records = stack.tracer().records();
+    out.tracer_lost = stack.tracer().lost_records();
+    out.end_degraded = stack.tracer().degraded();
     out.ckpts_written = rotator.written();
-    out.next_seq = rotator.next_sequence();
     return out;
 }
 
@@ -308,16 +297,10 @@ RecoverAfterCut(const DrillSpec& spec, SeedResult& r,
                 std::chrono::steady_clock::now() - recovery_start)
                 .count());
     };
-    const core::CheckpointRotator paths(kCkptBase, spec.keep_checkpoints);
-    std::unique_ptr<core::Checkpoint> found;
-    for (uint64_t seq = cap.next_seq; seq-- > 1 && !found;) {
-        util::StatusOr<core::Checkpoint> ckpt =
-            core::Checkpoint::Load(paths.PathFor(seq), rebooted);
-        if (ckpt.ok() && ckpt->meta().has_sink_state)
-            found = std::make_unique<core::Checkpoint>(std::move(*ckpt));
-    }
+    util::StatusOr<core::Checkpoint> found =
+        core::FindNewestCheckpoint(kCkptBase, rebooted);
 
-    if (found == nullptr) {
+    if (!found.ok()) {
         if (cap.ckpts_written > 0) {
             Fail(r, "durable-checkpoint",
                  "session counted " + std::to_string(cap.ckpts_written) +
@@ -341,35 +324,21 @@ RecoverAfterCut(const DrillSpec& spec, SeedResult& r,
     // I2 — the checkpoint names a trace high-water mark that SaveState
     // made durable *before* the checkpoint was published; resume must
     // find the trace at (or past) it.
-    util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
-        trace::FileSink::OpenResumed(kTracePath, found->sink_state(),
-                                     rebooted);
-    if (!sink.ok()) {
+    util::StatusOr<std::unique_ptr<core::Capture>> capture =
+        core::Capture::Resume(*found, kTracePath, rebooted);
+    if (!capture.ok()) {
         Fail(r, "durable-checkpoint",
-             "loadable checkpoint but the trace cannot be resumed: " +
-                 sink.status().ToString());
-        return;
-    }
-
-    cpu::Machine machine(found->meta().machine_config);
-    core::AtumTracer tracer(machine, **sink, found->meta().tracer_config);
-    if (util::Status s = found->RestoreMachine(machine); !s.ok()) {
-        Fail(r, "durable-checkpoint",
-             "machine restore failed: " + s.ToString());
-        return;
-    }
-    if (util::Status s = found->RestoreTracer(tracer); !s.ok()) {
-        Fail(r, "durable-checkpoint",
-             "tracer restore failed: " + s.ToString());
+             "loadable checkpoint but the capture cannot be resumed: " +
+                 capture.status().ToString());
         return;
     }
     stop_recovery_clock();  // ready to continue the capture
 
-    uint64_t remaining = found->meta().instructions_remaining;
-    if (remaining == 0 || remaining == UINT64_MAX)
-        remaining = spec.max_instructions;
-    (void)core::RunTraced(machine, tracer, remaining);
-    const util::Status close_status = (*sink)->Close();
+    core::Capture& stack = **capture;
+    core::AtumTracer& tracer = stack.tracer();
+    (void)core::RunTraced(stack.machine(), tracer,
+                          stack.Budget(spec.max_instructions));
+    const util::Status close_status = stack.sink().Close();
 
     util::StatusOr<TraceFacts> facts = ScanUniverse(rebooted);
     if (!facts.ok()) {

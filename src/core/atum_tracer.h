@@ -94,6 +94,7 @@ class AtumTracer
     void Detach();
 
     bool attached() const { return attached_; }
+    const AtumConfig& config() const { return config_; }
 
     /**
      * Drains any residual buffered records to the sink. Returns the

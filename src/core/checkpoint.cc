@@ -1,11 +1,14 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "util/crc32.h"
+#include "util/flags.h"
 #include "util/serialize.h"
 
 namespace atum::core {
@@ -457,19 +460,79 @@ Checkpoint::RestoreTracer(AtumTracer& tracer) const
     return util::OkStatus();
 }
 
+std::string
+CheckpointPath(const std::string& base, uint64_t seq)
+{
+    char suffix[32];
+    std::snprintf(suffix, sizeof suffix, ".%06" PRIu64 ".atck", seq);
+    return base + suffix;
+}
+
+namespace {
+
+/** Splits `name` into series base and sequence number. */
+bool
+ParseCheckpointPath(const std::string& name, std::string* base,
+                    uint64_t* seq)
+{
+    constexpr char kSuffix[] = ".atck";
+    constexpr size_t kSuffixLen = sizeof kSuffix - 1;
+    if (name.size() <= kSuffixLen ||
+        name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) != 0)
+        return false;
+    const size_t end = name.size() - kSuffixLen;
+    const size_t dot = name.rfind('.', end - 1);
+    if (dot == std::string::npos || dot == 0)
+        return false;
+    const std::optional<uint64_t> n =
+        util::ParseUint(name.substr(dot + 1, end - dot - 1));
+    if (!n)
+        return false;
+    *base = name.substr(0, dot);
+    *seq = *n;
+    return true;
+}
+
+}  // namespace
+
+std::string
+CheckpointSeriesBase(const std::string& path)
+{
+    std::string base;
+    uint64_t seq = 0;
+    return ParseCheckpointPath(path, &base, &seq) ? base : "";
+}
+
+util::StatusOr<Checkpoint>
+FindNewestCheckpoint(const std::string& base, io::Vfs& vfs)
+{
+    util::StatusOr<std::vector<std::string>> names =
+        vfs.ListDir(io::DirOf(base));
+    if (!names.ok())
+        return names.status();
+    const std::string stem = base.substr(base.find_last_of('/') + 1);
+    std::vector<uint64_t> seqs;
+    for (const std::string& name : *names) {
+        std::string name_base;
+        uint64_t seq = 0;
+        if (ParseCheckpointPath(name, &name_base, &seq) && name_base == stem)
+            seqs.push_back(seq);
+    }
+    std::sort(seqs.rbegin(), seqs.rend());
+    for (uint64_t seq : seqs) {
+        util::StatusOr<Checkpoint> ckpt =
+            Checkpoint::Load(CheckpointPath(base, seq), vfs);
+        if (ckpt.ok() && ckpt->meta().has_sink_state)
+            return ckpt;
+    }
+    return util::NotFound("no resumable checkpoint in the series ", base);
+}
+
 CheckpointRotator::CheckpointRotator(std::string base, uint32_t keep,
                                      uint64_t next_seq, io::Vfs& vfs)
     : base_(std::move(base)), keep_(keep == 0 ? 1 : keep),
       seq_(next_seq == 0 ? 1 : next_seq), vfs_(&vfs)
 {
-}
-
-std::string
-CheckpointRotator::PathFor(uint64_t seq) const
-{
-    char suffix[32];
-    std::snprintf(suffix, sizeof suffix, ".%06" PRIu64 ".atck", seq);
-    return base_ + suffix;
 }
 
 util::Status

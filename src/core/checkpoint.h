@@ -149,6 +149,27 @@ class Checkpoint
     std::vector<uint8_t> tracer_bytes_;
 };
 
+/** `base.NNNNNN.atck`: checkpoint `seq` of the series `base`. */
+std::string CheckpointPath(const std::string& base, uint64_t seq);
+
+/**
+ * The series base of a checkpoint path (`base.NNNNNN.atck` -> `base`),
+ * so a resume continues the series it came from; "" when `path` is not
+ * named like a member of a series.
+ */
+std::string CheckpointSeriesBase(const std::string& path);
+
+/**
+ * Recovery's lookup: the newest loadable checkpoint of the series `base`
+ * that carries trace-sink state (the only kind a capture can resume
+ * from). Lists the series' directory — never trusting an inventory that
+ * may itself be stale — and tries sequence numbers newest first: a
+ * damaged newest checkpoint is expected after a crash, and the one
+ * before it is the durable truth. kNotFound when none qualifies.
+ */
+util::StatusOr<Checkpoint> FindNewestCheckpoint(
+    const std::string& base, io::Vfs& vfs = io::RealVfs());
+
 /**
  * Rotating checkpoint series: `base.NNNNNN.atck`, keeping the most
  * recent `keep` files. The sequence number persists in the checkpoint
@@ -175,7 +196,10 @@ class CheckpointRotator
     uint32_t written() const { return written_; }
 
     /** The `base.NNNNNN.atck` path for one sequence number. */
-    std::string PathFor(uint64_t seq) const;
+    std::string PathFor(uint64_t seq) const
+    {
+        return CheckpointPath(base_, seq);
+    }
 
   private:
     std::string base_;

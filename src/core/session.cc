@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <utility>
 
 #include "obs/flight.h"
 #include "util/logging.h"
@@ -35,6 +36,72 @@ FillTracerStats(SessionResult& result, AtumTracer& tracer)
 }
 
 }  // namespace
+
+Capture::Capture(std::unique_ptr<trace::FileSink> sink,
+                 const cpu::Machine::Config& machine_config,
+                 const AtumConfig& tracer_config)
+    : sink_(std::move(sink)), machine_(machine_config),
+      tracer_(machine_, *sink_, tracer_config)
+{
+}
+
+util::StatusOr<std::unique_ptr<Capture>>
+Capture::Start(const std::string& path,
+               const cpu::Machine::Config& machine_config,
+               const AtumConfig& tracer_config, uint32_t chunk_records,
+               io::Vfs& vfs)
+{
+    util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
+        trace::FileSink::Open(path, trace::Atf2WriterOptions{chunk_records},
+                              vfs);
+    if (!sink.ok())
+        return sink.status();
+    return std::unique_ptr<Capture>(
+        new Capture(std::move(*sink), machine_config, tracer_config));
+}
+
+util::StatusOr<std::unique_ptr<Capture>>
+Capture::Resume(const Checkpoint& checkpoint, const std::string& path,
+                io::Vfs& vfs)
+{
+    const CheckpointMeta& meta = checkpoint.meta();
+    if (!meta.has_sink_state)
+        return util::DataLoss("checkpoint carries no trace-sink state; "
+                              "nothing to resume into");
+    const std::string& trace_path = path.empty() ? meta.trace_path : path;
+    util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
+        trace::FileSink::OpenResumed(trace_path, checkpoint.sink_state(),
+                                     vfs);
+    if (!sink.ok())
+        return util::Status(sink.status().code(),
+                            "reopening " + trace_path + ": " +
+                                sink.status().message());
+    std::unique_ptr<Capture> capture(new Capture(
+        std::move(*sink), meta.machine_config, meta.tracer_config));
+    util::Status status = checkpoint.RestoreMachine(capture->machine_);
+    if (status.ok())
+        status = checkpoint.RestoreTracer(capture->tracer_);
+    if (!status.ok())
+        return util::Status(status.code(),
+                            "restoring capture state: " + status.message());
+    capture->resumed_ = true;
+    capture->remaining_ = meta.instructions_remaining;
+    capture->next_sequence_ = meta.sequence + 1;
+    return capture;
+}
+
+util::StatusOr<std::unique_ptr<Capture>>
+Capture::Resume(const std::string& checkpoint_path, const std::string& path,
+                io::Vfs& vfs)
+{
+    util::StatusOr<Checkpoint> checkpoint =
+        Checkpoint::Load(checkpoint_path, vfs);
+    if (!checkpoint.ok())
+        return util::Status(checkpoint.status().code(),
+                            "loading " + checkpoint_path + ": " +
+                                checkpoint.status().message());
+    return Resume(*checkpoint, path, vfs);
+}
 
 void
 PublishCaptureMetrics(obs::Registry& reg, const cpu::Machine& machine,
@@ -156,7 +223,11 @@ RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
         ATUM_SPAN_NAMED(cp_span, "supervisor", "checkpoint");
         const uint64_t cp_start_ns = obs::MonotonicNowNs();
         const auto cp_start = Clock::now();
-        CheckpointMeta meta = options.meta;
+        CheckpointMeta meta;
+        meta.machine_config = machine.config();
+        meta.tracer_config = tracer.config();
+        if (options.file_sink)
+            meta.trace_path = options.file_sink->path();
         meta.instructions = machine.icount();
         meta.instructions_remaining =
             options.max_instructions == UINT64_MAX

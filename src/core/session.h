@@ -3,26 +3,31 @@
 
 /**
  * @file
- * Capture-session helpers: run a prepared machine to completion under a
- * tracer and collect the capture-side statistics in one struct — plus
- * the supervised long-haul run loop (RunSupervised) that adds periodic
- * checkpoints, a deadman watchdog, deadlines and graceful signal stops.
+ * Capture sessions: the capture stack (Capture — trace file, machine and
+ * ATUM tracer, started fresh or resumed from a checkpoint), helpers that
+ * run a prepared machine to completion under a tracer and collect the
+ * capture-side statistics in one struct, and the supervised long-haul
+ * run loop (RunSupervised) that adds periodic checkpoints, a deadman
+ * watchdog, deadlines and graceful signal stops.
  *
  * Ordering note: an AtumTracer must be constructed *before* the guest
  * kernel is booted (its buffer reservation must be visible to the boot
- * loader's frame accounting), so these helpers take an already-constructed
- * tracer rather than building one internally.
+ * loader's frame accounting), so the run helpers take an
+ * already-constructed tracer and Capture::Start leaves booting to the
+ * caller.
  */
 
 #include <csignal>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "core/atum_tracer.h"
 #include "core/checkpoint.h"
 #include "core/user_tracer.h"
 #include "cpu/machine.h"
+#include "io/vfs.h"
 #include "obs/spans.h"
 #include "obs/stats_emitter.h"
 #include "trace/sink.h"
@@ -62,6 +67,78 @@ struct SessionResult {
     util::Status drain_status;
     /** First checkpoint-write failure, if any (capture continues anyway). */
     util::Status checkpoint_status;
+};
+
+/**
+ * The capture stack: the ATF2 trace file, the machine and its ATUM
+ * tracer, owned together and built in the one valid order — sink, then
+ * machine, then the tracer, whose buffer reservation must exist before a
+ * kernel boots (Start) or a memory image is restored over it (Resume).
+ * atum-capture, the serve daemon's capture jobs and the chaos capture
+ * drill all build their stack here.
+ */
+class Capture
+{
+  public:
+    /**
+     * Creates the trace file `path` and an unbooted machine with the
+     * tracer's buffer reserved; the caller boots a guest
+     * (kernel::BootSystem) and runs it.
+     */
+    static util::StatusOr<std::unique_ptr<Capture>> Start(
+        const std::string& path, const cpu::Machine::Config& machine_config,
+        const AtumConfig& tracer_config, uint32_t chunk_records,
+        io::Vfs& vfs = io::RealVfs());
+
+    /**
+     * Continues the capture `checkpoint` describes: truncates the trace
+     * at `path` ("" = the trace the checkpoint names) back to its
+     * high-water mark, builds machine and tracer from the checkpoint's
+     * meta and restores both. kDataLoss when the checkpoint carries no
+     * trace-sink state; otherwise the failing step's status.
+     */
+    static util::StatusOr<std::unique_ptr<Capture>> Resume(
+        const Checkpoint& checkpoint, const std::string& path = "",
+        io::Vfs& vfs = io::RealVfs());
+
+    /** Resume() from the checkpoint file `checkpoint_path`; a load
+     *  failure comes back with its code (kNotFound, kDataLoss, ...). */
+    static util::StatusOr<std::unique_ptr<Capture>> Resume(
+        const std::string& checkpoint_path, const std::string& path = "",
+        io::Vfs& vfs = io::RealVfs());
+
+    cpu::Machine& machine() { return machine_; }
+    AtumTracer& tracer() { return tracer_; }
+    trace::FileSink& sink() { return *sink_; }
+
+    bool resumed() const { return resumed_; }
+
+    /**
+     * The instruction budget for this run. A started capture runs
+     * `fresh_budget`. A resumed one runs what its checkpoint recorded as
+     * remaining, under one rule: 0 means the budget is spent (the run
+     * executes nothing and only replays the final drain) and UINT64_MAX
+     * means unbounded. A resume never starts a second budget.
+     */
+    uint64_t Budget(uint64_t fresh_budget) const
+    {
+        return resumed_ ? remaining_ : fresh_budget;
+    }
+
+    /** Where the checkpoint series continues (1 for a fresh capture). */
+    uint64_t next_sequence() const { return next_sequence_; }
+
+  private:
+    Capture(std::unique_ptr<trace::FileSink> sink,
+            const cpu::Machine::Config& machine_config,
+            const AtumConfig& tracer_config);
+
+    std::unique_ptr<trace::FileSink> sink_;
+    cpu::Machine machine_;
+    AtumTracer tracer_;
+    bool resumed_ = false;
+    uint64_t remaining_ = UINT64_MAX;
+    uint64_t next_sequence_ = 1;
 };
 
 /** Runs with ATUM microcode tracing attached; flushes the buffer at end. */
@@ -112,13 +189,12 @@ struct SupervisorOptions {
     /** Take a checkpoint every N trace-buffer fills. */
     uint64_t checkpoint_every_fills = 8;
     /**
-     * The trace sink being written, for recording its high-water mark in
-     * each checkpoint. Null = checkpoints carry no sink state (resume
-     * will not truncate/continue a trace file).
+     * The trace sink being written, for recording its high-water mark
+     * (and path) in each checkpoint. Null = checkpoints carry no sink
+     * state (resume will not truncate/continue a trace file). The rest
+     * of each checkpoint's meta comes from the machine and tracer.
      */
     trace::FileSink* file_sink = nullptr;
-    /** Template for each checkpoint's meta (configs, trace path). */
-    CheckpointMeta meta;
 
     /**
      * Test hook: die with _Exit(137) — no destructors, no seal, exactly

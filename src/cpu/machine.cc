@@ -64,7 +64,8 @@ Machine::Machine(const Config& config)
     : memory_(config.mem_bytes),
       mmu_(memory_, control_store_, config.tlb_sets, config.tlb_ways),
       icr_reload_(config.timer_reload),
-      icr_count_(config.timer_reload)
+      icr_count_(config.timer_reload),
+      config_(config)
 {
     if (config.timer_reload == 0)
         Fatal("timer_reload must be nonzero");

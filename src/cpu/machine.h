@@ -127,6 +127,10 @@ class Machine
     Machine(const Machine&) = delete;
     Machine& operator=(const Machine&) = delete;
 
+    /** The geometry this machine was built with (what a checkpoint's
+     *  meta records, so a resume rebuilds the same machine). */
+    const Config& config() const { return config_; }
+
     PhysicalMemory& memory() { return memory_; }
     mmu::Mmu& mmu() { return mmu_; }
     ucode::ControlStore& control_store() { return control_store_; }
@@ -324,6 +328,7 @@ class Machine
     Psl journal_psl_;
 
     std::string console_output_;
+    const Config config_;
 };
 
 }  // namespace atum::cpu

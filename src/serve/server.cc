@@ -337,8 +337,7 @@ ServeCore::ResolveInterruptedLocked(uint64_t id, Job& job)
     //     intact prefix and finish the job as "salvaged";
     //  3. nothing durable -> re-queue for a fresh run (nothing was
     //     promised, nothing is lost).
-    uint64_t seq = 0;
-    if (LoadNewestCheckpoint(id, &seq) != nullptr) {
+    if (core::FindNewestCheckpoint(CheckpointBase(id), vfs_).ok()) {
         ReadmitRecoveredLocked(id, job);
         return;
     }
@@ -364,49 +363,6 @@ ServeCore::ResolveInterruptedLocked(uint64_t id, Job& job)
         }
     }
     ReadmitRecoveredLocked(id, job);
-}
-
-std::unique_ptr<core::Checkpoint>
-ServeCore::LoadNewestCheckpoint(uint64_t id, uint64_t* seq) const
-{
-    *seq = 0;
-    util::StatusOr<std::vector<std::string>> names =
-        vfs_.ListDir(config_.dir);
-    if (!names.ok())
-        return nullptr;
-
-    // job-<id>.ckpt.NNNNNN.atck, newest sequence first.
-    const std::string prefix = "job-" + std::to_string(id) + ".ckpt.";
-    const std::string suffix = ".atck";
-    std::vector<uint64_t> seqs;
-    for (const std::string& name : *names) {
-        if (name.size() <= prefix.size() + suffix.size() ||
-            name.compare(0, prefix.size(), prefix) != 0 ||
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-            continue;
-        const std::string digits = name.substr(
-            prefix.size(), name.size() - prefix.size() - suffix.size());
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos)
-            continue;
-        seqs.push_back(std::strtoull(digits.c_str(), nullptr, 10));
-    }
-    std::sort(seqs.rbegin(), seqs.rend());
-
-    const core::CheckpointRotator paths(CheckpointBase(id),
-                                        config_.keep_checkpoints, 1, vfs_);
-    for (uint64_t s : seqs) {
-        util::StatusOr<core::Checkpoint> ckpt =
-            core::Checkpoint::Load(paths.PathFor(s), vfs_);
-        if (ckpt.ok() && ckpt->meta().has_sink_state) {
-            *seq = s;
-            return std::make_unique<core::Checkpoint>(std::move(*ckpt));
-        }
-        // A damaged newest checkpoint is expected after a crash; the one
-        // before it is the durable truth.
-    }
-    return nullptr;
 }
 
 std::string
@@ -847,88 +803,56 @@ ServeCore::RunJob(uint64_t id)
 
     // -- build the capture stack, resuming from a checkpoint if one
     //    survived a previous life of this daemon -------------------------
-    cpu::Machine::Config mconfig;
-    mconfig.mem_bytes = config_.mem_bytes;
-    mconfig.timer_reload = 2000;
-    core::AtumConfig tconfig;
-    tconfig.buffer_bytes = config_.buffer_bytes;
-
     const std::string trace_path = TracePath(id);
-    std::unique_ptr<trace::FileSink> sink;
-    std::unique_ptr<cpu::Machine> machine;
-    std::unique_ptr<core::AtumTracer> tracer;
-    uint64_t remaining = spec.quota.max_instructions;
-    uint64_t next_seq = 1;
-    bool resumed = false;
-
-    uint64_t found_seq = 0;
-    if (std::unique_ptr<core::Checkpoint> found =
-            LoadNewestCheckpoint(id, &found_seq)) {
-        util::StatusOr<std::unique_ptr<trace::FileSink>> rsink =
-            trace::FileSink::OpenResumed(trace_path, found->sink_state(),
-                                         vfs_);
-        if (rsink.ok()) {
-            mconfig = found->meta().machine_config;
-            tconfig = found->meta().tracer_config;
-            machine = std::make_unique<cpu::Machine>(mconfig);
-            tracer = std::make_unique<core::AtumTracer>(*machine, **rsink,
-                                                        tconfig);
-            if (found->RestoreMachine(*machine).ok() &&
-                found->RestoreTracer(*tracer).ok()) {
-                sink = std::move(*rsink);
-                resumed = true;
-                remaining = found->meta().instructions_remaining;
-                if (remaining == 0 || remaining == UINT64_MAX)
-                    remaining = spec.quota.max_instructions;
-                next_seq = found->meta().sequence + 1;
-            } else {
-                machine.reset();
-                tracer.reset();
-            }
-        }
+    std::unique_ptr<core::Capture> capture;
+    if (util::StatusOr<core::Checkpoint> found =
+            core::FindNewestCheckpoint(CheckpointBase(id), vfs_);
+        found.ok()) {
+        util::StatusOr<std::unique_ptr<core::Capture>> resumed =
+            core::Capture::Resume(*found, trace_path, vfs_);
+        if (resumed.ok())
+            capture = std::move(*resumed);
     }
-
-    if (!resumed) {
-        util::StatusOr<std::unique_ptr<trace::FileSink>> fresh =
-            trace::FileSink::Open(trace_path,
-                                  trace::Atf2WriterOptions{
-                                      config_.chunk_records},
-                                  vfs_);
-        if (!fresh.ok()) {
+    if (capture == nullptr) {
+        cpu::Machine::Config mconfig;
+        mconfig.mem_bytes = config_.mem_bytes;
+        mconfig.timer_reload = 2000;
+        core::AtumConfig tconfig;
+        tconfig.buffer_bytes = config_.buffer_bytes;
+        util::StatusOr<std::unique_ptr<core::Capture>> started =
+            core::Capture::Start(trace_path, mconfig, tconfig,
+                                 config_.chunk_records, vfs_);
+        if (!started.ok()) {
             // A dead filesystem (power cut mid-drill, disk gone) is an
             // interruption, not a job failure: the restart retries it.
             const bool interrupted =
-                fresh.status().code() == util::StatusCode::kUnavailable;
-            finish("failed", fresh.status().ToString(), interrupted,
+                started.status().code() == util::StatusCode::kUnavailable;
+            finish("failed", started.status().ToString(), interrupted,
                    nullptr, 0, false);
             return;
         }
-        sink = std::move(*fresh);
-        machine = std::make_unique<cpu::Machine>(mconfig);
-        tracer =
-            std::make_unique<core::AtumTracer>(*machine, *sink, tconfig);
+        capture = std::move(*started);
         kernel::BootSystem(
-            *machine, {workloads::MakeWorkload(spec.workload, spec.scale)});
+            capture->machine(),
+            {workloads::MakeWorkload(spec.workload, spec.scale)});
     }
+    const bool resumed = capture->resumed();
 
     core::CheckpointRotator rotator(CheckpointBase(id),
-                                    config_.keep_checkpoints, next_seq,
-                                    vfs_);
+                                    config_.keep_checkpoints,
+                                    capture->next_sequence(), vfs_);
     obs::Registry job_registry;  // Set() publishing must not cross jobs
-    trace::FileSink* sink_ptr = sink.get();
+    trace::FileSink* sink_ptr = &capture->sink();
     const uint64_t byte_quota = spec.quota.max_trace_bytes;
 
     core::SupervisorOptions sup;
-    sup.max_instructions = remaining;
+    sup.max_instructions = capture->Budget(spec.quota.max_instructions);
     sup.watchdog_ucycles = config_.watchdog_ucycles;
     sup.deadline_ms = spec.quota.deadline_ms;
     sup.stop_flag = &job->stop_flag;
     sup.checkpoints = &rotator;
     sup.checkpoint_every_fills = config_.checkpoint_every_fills;
     sup.file_sink = sink_ptr;
-    sup.meta.machine_config = mconfig;
-    sup.meta.tracer_config = tconfig;
-    sup.meta.trace_path = trace_path;
     sup.registry = &job_registry;
     sup.on_slice = [this, job, sink_ptr, byte_quota] {
         if (config_.external_stop != nullptr && *config_.external_stop != 0)
@@ -944,8 +868,8 @@ ServeCore::RunJob(uint64_t id)
     };
 
     const core::SessionResult result =
-        core::RunSupervised(*machine, *tracer, sup);
-    const util::Status close_status = sink->Close();
+        core::RunSupervised(capture->machine(), capture->tracer(), sup);
+    const util::Status close_status = sink_ptr->Close();
 
     std::string outcome;
     std::string detail;

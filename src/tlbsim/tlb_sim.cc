@@ -92,11 +92,4 @@ TlbSim::Feed(const Record& record)
     Access(record.addr);
 }
 
-void
-TlbSim::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
-}
-
 }  // namespace atum::tlbsim

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "trace/record.h"
-#include "trace/sink.h"
 #include "util/status.h"
 
 namespace atum::tlbsim {
@@ -55,9 +54,6 @@ class TlbSim
 
     /** Feeds one trace record, in order. */
     void Feed(const trace::Record& record);
-
-    /** Feeds every record of a source. */
-    void DriveAll(trace::TraceSource& source);
 
     const TlbSimStats& stats() const { return stats_; }
 

@@ -39,16 +39,6 @@ MeteredByteSink::Sync()
     return status;
 }
 
-FileSink::FileSink(const std::string& path)
-{
-    util::StatusOr<std::unique_ptr<FileByteSink>> out =
-        FileByteSink::Open(path);
-    if (!out.ok())
-        Fatal(out.status().message());
-    out_ = std::make_unique<MeteredByteSink>(std::move(*out));
-    writer_ = std::make_unique<Atf2Writer>(*out_);
-}
-
 FileSink::FileSink(std::unique_ptr<ByteSink> out,
                    const Atf2WriterOptions& options)
     : out_(std::make_unique<MeteredByteSink>(std::move(out)))
@@ -64,8 +54,9 @@ FileSink::Open(const std::string& path, const Atf2WriterOptions& options,
         FileByteSink::Open(path, vfs);
     if (!out.ok())
         return out.status();
-    return std::unique_ptr<FileSink>(
-        new FileSink(std::move(*out), options));
+    std::unique_ptr<FileSink> sink(new FileSink(std::move(*out), options));
+    sink->path_ = path;
+    return sink;
 }
 
 FileSink::FileSink(std::unique_ptr<ByteSink> out,
@@ -83,7 +74,9 @@ FileSink::OpenResumed(const std::string& path, const Atf2ResumeState& state,
         FileByteSink::OpenAt(path, state.file_bytes, vfs);
     if (!out.ok())
         return out.status();
-    return std::unique_ptr<FileSink>(new FileSink(std::move(*out), state));
+    std::unique_ptr<FileSink> sink(new FileSink(std::move(*out), state));
+    sink->path_ = path;
+    return sink;
 }
 
 util::StatusOr<Atf2ResumeState>
@@ -133,58 +126,6 @@ FileSink::PublishMetrics(obs::Registry& reg) const
     reg.GetCounter("trace.sink.records").Set(writer_->records());
     reg.GetCounter("trace.sink.chunks").Set(writer_->chunks_written());
     reg.GetCounter("trace.sink.file_bytes").Set(writer_->bytes_written());
-}
-
-util::StatusOr<std::unique_ptr<FileSource>>
-FileSource::Open(const std::string& path, io::Vfs& vfs)
-{
-    util::StatusOr<std::unique_ptr<FileByteSource>> in =
-        FileByteSource::Open(path, vfs);
-    if (!in.ok())
-        return in.status();
-
-    std::unique_ptr<FileSource> source(new FileSource);
-    source->report_ = ScanTrace(**in, &source->records_);
-    if (!source->report_.recognized)
-        return util::InvalidArgument("not an ATUM trace file: ", path);
-    if (!source->report_.intact()) {
-        const auto& issues = source->report_.issues;
-        source->status_ = util::DataLoss(
-            path, ": ", issues.empty() ? "damaged" : issues[0].error, " (",
-            source->report_.records_salvaged, " records salvageable)");
-    }
-    return source;
-}
-
-std::optional<Record>
-FileSource::Next()
-{
-    if (pos_ >= records_.size())
-        return std::nullopt;
-    return records_[pos_++];
-}
-
-util::Status
-WriteTraceFile(const std::string& path, const std::vector<Record>& records)
-{
-    util::StatusOr<std::unique_ptr<FileSink>> sink = FileSink::Open(path);
-    if (!sink.ok())
-        return sink.status();
-    for (const Record& r : records) {
-        util::Status status = (*sink)->Append(r);
-        if (!status.ok())
-            return status;
-    }
-    return (*sink)->Close();
-}
-
-std::vector<Record>
-ReadTraceFile(const std::string& path)
-{
-    util::StatusOr<std::vector<Record>> records = LoadTrace(path);
-    if (!records.ok())
-        Fatal(records.status().ToString());
-    return std::move(*records);
 }
 
 }  // namespace atum::trace

@@ -17,6 +17,7 @@
 #include "core/checkpoint.h"
 #include "core/session.h"
 #include "cpu/machine.h"
+#include "io/mem_vfs.h"
 #include "kernel/boot.h"
 #include "trace/container.h"
 #include "trace/sink.h"
@@ -28,6 +29,7 @@ namespace {
 
 using core::AtumConfig;
 using core::AtumTracer;
+using core::Capture;
 using core::Checkpoint;
 using core::CheckpointMeta;
 using core::CheckpointRotator;
@@ -211,26 +213,23 @@ TEST(CheckpointResume, ResumedTraceIsByteIdentical)
         ASSERT_TRUE((*sink)->Close().ok());
     }
 
-    // Leg 1: same capture, supervised, checkpointing every fill; stopped
-    // mid-run by the instruction budget.
+    // Leg 1: same capture through the shared capture stack, supervised,
+    // checkpointing every fill; stopped mid-run by the instruction budget.
     uint64_t resume_seq = 0;
     {
-        Machine machine(mconfig);
-        auto sink = trace::FileSink::Open(torn_path);
-        ASSERT_TRUE(sink.ok());
-        AtumTracer tracer(machine, **sink, tconfig);
-        kernel::BootSystem(machine, workloads::StandardMix(1));
+        auto capture = Capture::Start(torn_path, mconfig, tconfig,
+                                      trace::Atf2WriterOptions{}.chunk_records);
+        ASSERT_TRUE(capture.ok()) << capture.status().ToString();
+        kernel::BootSystem((*capture)->machine(), workloads::StandardMix(1));
 
         CheckpointRotator rotator(ckpt_base, 3);
         SupervisorOptions sup;
         sup.max_instructions = 150'000;
         sup.checkpoints = &rotator;
         sup.checkpoint_every_fills = 1;
-        sup.file_sink = sink->get();
-        sup.meta.machine_config = mconfig;
-        sup.meta.tracer_config = tconfig;
-        sup.meta.trace_path = torn_path;
-        const auto result = core::RunSupervised(machine, tracer, sup);
+        sup.file_sink = &(*capture)->sink();
+        const auto result = core::RunSupervised(
+            (*capture)->machine(), (*capture)->tracer(), sup);
         EXPECT_EQ(result.stop_cause, StopCause::kInstrLimit);
         ASSERT_TRUE(result.checkpoint_status.ok())
             << result.checkpoint_status.ToString();
@@ -239,33 +238,35 @@ TEST(CheckpointResume, ResumedTraceIsByteIdentical)
         // the file gained after it (later chunks, drain, seal footer)
         // plays the role of post-crash garbage that resume must discard.
         resume_seq = rotator.next_sequence() - 2;
-        ASSERT_TRUE((*sink)->Close().ok());  // seal = extra bytes on disk
+        ASSERT_TRUE((*capture)->sink().Close().ok());  // seal = extra bytes
     }
 
     // Leg 2: resume from that checkpoint and run to natural completion.
+    // The meta was read off the stack itself, so it names the trace.
     {
-        CheckpointRotator paths(ckpt_base, 3);
-        util::StatusOr<Checkpoint> ckpt =
-            Checkpoint::Load(paths.PathFor(resume_seq));
+        const std::string ckpt_path = core::CheckpointPath(ckpt_base,
+                                                           resume_seq);
+        util::StatusOr<Checkpoint> ckpt = Checkpoint::Load(ckpt_path);
         ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
-        ASSERT_TRUE(ckpt->meta().has_sink_state);
+        EXPECT_EQ(ckpt->meta().trace_path, torn_path);
+        EXPECT_EQ(ckpt->meta().tracer_config.buffer_bytes,
+                  tconfig.buffer_bytes);
+        EXPECT_EQ(ckpt->meta().machine_config.mem_bytes, mconfig.mem_bytes);
+        EXPECT_EQ(ckpt->meta().sequence, resume_seq);
 
-        auto sink = trace::FileSink::OpenResumed(torn_path,
-                                                 ckpt->sink_state());
-        ASSERT_TRUE(sink.ok()) << sink.status().ToString();
-
-        Machine machine(ckpt->meta().machine_config);
-        AtumTracer tracer(machine, **sink, ckpt->meta().tracer_config);
-        ASSERT_TRUE(ckpt->RestoreMachine(machine).ok());
-        ASSERT_TRUE(ckpt->RestoreTracer(tracer).ok());
+        auto capture = Capture::Resume(ckpt_path);
+        ASSERT_TRUE(capture.ok()) << capture.status().ToString();
+        EXPECT_TRUE((*capture)->resumed());
+        EXPECT_EQ((*capture)->next_sequence(), resume_seq + 1);
 
         SupervisorOptions sup;
         sup.max_instructions = 100'000'000;
-        const auto result = core::RunSupervised(machine, tracer, sup);
+        const auto result = core::RunSupervised(
+            (*capture)->machine(), (*capture)->tracer(), sup);
         EXPECT_EQ(result.stop_cause, StopCause::kHalted);
         ASSERT_TRUE(result.drain_status.ok())
             << result.drain_status.ToString();
-        ASSERT_TRUE((*sink)->Close().ok());
+        ASSERT_TRUE((*capture)->sink().Close().ok());
     }
 
     const std::vector<uint8_t> full = ReadAllBytes(full_path);
@@ -277,6 +278,112 @@ TEST(CheckpointResume, ResumedTraceIsByteIdentical)
 
     std::remove(full_path.c_str());
     std::remove(torn_path.c_str());
+}
+
+// A budget-exhausted capture's final checkpoint records 0 instructions
+// remaining. Resuming it (a crash after the run ended, before its owner
+// noted completion) must run nothing and leave the trace exactly as the
+// uninterrupted run sealed it — never start a second budget.
+TEST(CheckpointResume, SpentBudgetResumesNothing)
+{
+    const std::string path = TempPath("ckpt_spent.atum");
+    const std::string ckpt_base = TempPath("ckpt_spent");
+
+    std::string final_ckpt;
+    uint64_t next_seq = 0;
+    {
+        auto capture = Capture::Start(path, MixConfig(), SmallBufferConfig(),
+                                      trace::Atf2WriterOptions{}.chunk_records);
+        ASSERT_TRUE(capture.ok()) << capture.status().ToString();
+        kernel::BootSystem((*capture)->machine(), workloads::StandardMix(1));
+        CheckpointRotator rotator(ckpt_base, 2);
+        SupervisorOptions sup;
+        sup.max_instructions = 120'000;
+        sup.checkpoints = &rotator;
+        sup.file_sink = &(*capture)->sink();
+        const auto result = core::RunSupervised(
+            (*capture)->machine(), (*capture)->tracer(), sup);
+        ASSERT_EQ(result.stop_cause, StopCause::kInstrLimit);
+        final_ckpt = result.last_checkpoint;
+        next_seq = rotator.next_sequence();
+        ASSERT_TRUE((*capture)->sink().Close().ok());
+    }
+    const std::vector<uint8_t> uninterrupted = ReadAllBytes(path);
+    ASSERT_FALSE(uninterrupted.empty());
+
+    {
+        auto capture = Capture::Resume(final_ckpt);
+        ASSERT_TRUE(capture.ok()) << capture.status().ToString();
+        EXPECT_EQ((*capture)->Budget(100'000'000), 0u);
+        SupervisorOptions sup;
+        sup.max_instructions = (*capture)->Budget(100'000'000);
+        const auto result = core::RunSupervised(
+            (*capture)->machine(), (*capture)->tracer(), sup);
+        EXPECT_EQ(result.instructions, 0u);
+        EXPECT_EQ(result.stop_cause, StopCause::kInstrLimit);
+        ASSERT_TRUE((*capture)->sink().Close().ok());
+    }
+    EXPECT_TRUE(ReadAllBytes(path) == uninterrupted)
+        << "resuming a spent budget changed the trace";
+
+    for (uint64_t s = 1; s < next_seq; ++s)
+        std::remove(core::CheckpointPath(ckpt_base, s).c_str());
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The checkpoint series: one name format, one recovery lookup.
+
+TEST(CheckpointSeries, NameFormatRoundTrips)
+{
+    EXPECT_EQ(core::CheckpointPath("d/job-1.ckpt", 7),
+              "d/job-1.ckpt.000007.atck");
+    EXPECT_EQ(core::CheckpointSeriesBase("d/job-1.ckpt.000007.atck"),
+              "d/job-1.ckpt");
+    EXPECT_EQ(core::CheckpointSeriesBase("x.1234567.atck"), "x");
+    EXPECT_EQ(core::CheckpointSeriesBase("x.atck"), "");
+    EXPECT_EQ(core::CheckpointSeriesBase("x..atck"), "");
+    EXPECT_EQ(core::CheckpointSeriesBase("x.12a.atck"), "");
+    EXPECT_EQ(core::CheckpointSeriesBase("x.000001.atck.tmp"), "");
+}
+
+TEST(CheckpointSeries, NewestResumableCheckpointWins)
+{
+    Machine machine(MixConfig());
+    trace::VectorSink sink;
+    AtumTracer tracer(machine, sink, SmallBufferConfig());
+    io::MemVfs vfs;
+    const trace::Atf2ResumeState sink_state;
+
+    EXPECT_EQ(core::FindNewestCheckpoint("ckpt", vfs).status().code(),
+              util::StatusCode::kNotFound);
+
+    // 1 and 2 carry sink state, 3 does not; another series shares the
+    // directory.
+    CheckpointRotator rotator("ckpt", 5, 1, vfs);
+    CheckpointMeta meta;
+    meta.machine_config = MixConfig();
+    meta.tracer_config = SmallBufferConfig();
+    ASSERT_TRUE(rotator.Write(meta, machine, tracer, &sink_state).ok());
+    ASSERT_TRUE(rotator.Write(meta, machine, tracer, &sink_state).ok());
+    ASSERT_TRUE(rotator.Write(meta, machine, tracer, nullptr).ok());
+    CheckpointRotator other("ckpt-other", 5, 9, vfs);
+    ASSERT_TRUE(other.Write(meta, machine, tracer, &sink_state).ok());
+
+    auto found = core::FindNewestCheckpoint("ckpt", vfs);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found->meta().sequence, 2u);
+
+    // A torn newest checkpoint falls back to the one before it.
+    {
+        auto out = trace::FileByteSink::Open("ckpt.000002.atck", vfs);
+        ASSERT_TRUE(out.ok());
+        ASSERT_TRUE((*out)->Write("torn", 4).ok());
+        ASSERT_TRUE((*out)->Close().ok());
+    }
+    found = core::FindNewestCheckpoint("ckpt", vfs);
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found->meta().sequence, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -436,8 +543,6 @@ TEST(Supervisor, StopFlagStopsAtSliceBoundaryAndCheckpoints)
     sup.max_instructions = 100'000'000;
     sup.stop_flag = &flag;
     sup.checkpoints = &rotator;
-    sup.meta.machine_config = MixConfig();
-    sup.meta.tracer_config = SmallBufferConfig();
     const auto result = core::RunSupervised(machine, tracer, sup);
     EXPECT_EQ(result.stop_cause, StopCause::kSignal);
     // Stopped after one slice, not the whole budget.

@@ -20,6 +20,7 @@
 #include "cpu/machine.h"
 #include "kernel/boot.h"
 #include "tlbsim/tlb_sim.h"
+#include "trace/container.h"
 #include "trace/sink.h"
 #include "trace/stats.h"
 #include "workloads/workloads.h"
@@ -172,8 +173,15 @@ TEST(Integration, TraceFileRoundTripPreservesAnalysis)
 {
     const std::string path =
         std::string(::testing::TempDir()) + "/mix_trace.atum";
-    trace::WriteTraceFile(path, MixTrace());
-    const std::vector<Record> back = trace::ReadTraceFile(path);
+    {
+        auto out = trace::FileByteSink::Open(path);
+        ASSERT_TRUE(out.ok());
+        ASSERT_TRUE(trace::WriteAtf2(**out, MixTrace()).ok());
+        ASSERT_TRUE((*out)->Close().ok());
+    }
+    util::StatusOr<std::vector<Record>> loaded = trace::LoadTrace(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const std::vector<Record>& back = *loaded;
     ASSERT_EQ(back.size(), MixTrace().size());
 
     CacheConfig config{.size_bytes = 8192, .block_bytes = 16, .assoc = 1};

@@ -5,6 +5,7 @@
 
 #include "util/bitops.h"
 #include "util/crc32.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -213,6 +214,30 @@ TEST(Crc32c, DetectsSingleBitFlip)
         EXPECT_NE(util::Crc32c(data, sizeof data), clean);
         data[13] ^= static_cast<uint8_t>(1 << bit);
     }
+}
+
+TEST(Flags, ParseUintAcceptsOnlyWholeNumbers)
+{
+    EXPECT_EQ(util::ParseUint("0"), 0u);
+    EXPECT_EQ(util::ParseUint("1000000"), 1'000'000u);
+    EXPECT_EQ(util::ParseUint("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(util::ParseUint("0x100", 0), 256u);
+    EXPECT_EQ(util::ParseUint("010", 0), 8u);
+    EXPECT_EQ(util::ParseUint("010"), 10u);
+    EXPECT_EQ(util::ParseUint("4294967295", 10, UINT32_MAX), UINT32_MAX);
+
+    for (const char* bad : {"", "abc", "1e6", "12k", " 5", "-1", "+1",
+                            "0x", "18446744073709551616"})
+        EXPECT_FALSE(util::ParseUint(bad, 0).has_value()) << bad;
+    EXPECT_FALSE(util::ParseUint("0x100").has_value());  // base 10
+    EXPECT_FALSE(util::ParseUint("4294967296", 10, UINT32_MAX).has_value());
+}
+
+TEST(Flags, SplitCommasKeepsEmptyFields)
+{
+    EXPECT_EQ(util::SplitCommas("a,b,,c"),
+              (std::vector<std::string>{"a", "b", "", "c"}));
+    EXPECT_EQ(util::SplitCommas(""), std::vector<std::string>{""});
 }
 
 TEST(Status, OkAndErrors)

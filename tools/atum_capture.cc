@@ -65,6 +65,7 @@
 #include "trace/sink.h"
 #include "trace/stats.h"
 #include "util/build_info.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/signals.h"
 #include "util/status.h"
@@ -114,23 +115,6 @@ struct Options {
     std::string trace_out;  // Chrome trace-event span export ("" = off)
 };
 
-std::vector<std::string>
-SplitCommas(const std::string& s)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= s.size()) {
-        const size_t comma = s.find(',', start);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(start));
-            break;
-        }
-        out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
 Options
 ParseArgs(int argc, char** argv)
 {
@@ -142,51 +126,49 @@ ParseArgs(int argc, char** argv)
                 UsageError(arg, " requires a value");
             return argv[++i];
         };
+        auto next_uint = [&](uint64_t max = UINT32_MAX) {
+            return util::FlagUint("atum-capture", arg, next(), 0, max);
+        };
         if (arg == "--out")
             opts.out = next();
         else if (arg == "--workloads")
-            opts.workload_names = SplitCommas(next());
+            opts.workload_names = util::SplitCommas(next());
         else if (arg == "--scale")
-            opts.scale = std::strtoul(next().c_str(), nullptr, 0);
+            opts.scale = next_uint();
         else if (arg == "--timer")
-            opts.timer = std::strtoul(next().c_str(), nullptr, 0);
+            opts.timer = next_uint();
         else if (arg == "--mem-mb")
-            opts.mem_mb = std::strtoul(next().c_str(), nullptr, 0);
+            opts.mem_mb = next_uint();
         else if (arg == "--buffer-kb")
-            opts.buffer_kb = std::strtoul(next().c_str(), nullptr, 0);
+            opts.buffer_kb = next_uint();
         else if (arg == "--pool-frames")
-            opts.pool_frames = std::strtoul(next().c_str(), nullptr, 0);
+            opts.pool_frames = next_uint();
         else if (arg == "--pipeline")
-            opts.pipeline = std::strtoul(next().c_str(), nullptr, 0);
+            opts.pipeline = next_uint();
         else if (arg == "--user-only")
-            opts.user_only_pid = std::strtoul(next().c_str(), nullptr, 0);
+            opts.user_only_pid = next_uint();
         else if (arg == "--max-instructions")
-            opts.max_instructions =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.max_instructions = next_uint(UINT64_MAX);
         else if (arg == "--resume")
             opts.resume = next();
         else if (arg == "--checkpoint")
             opts.checkpoint = next();
         else if (arg == "--checkpoint-every")
-            opts.checkpoint_every =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.checkpoint_every = next_uint(UINT64_MAX);
         else if (arg == "--checkpoint-keep")
-            opts.checkpoint_keep = std::strtoul(next().c_str(), nullptr, 0);
+            opts.checkpoint_keep = next_uint();
         else if (arg == "--watchdog")
-            opts.watchdog_ucycles =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.watchdog_ucycles = next_uint(UINT64_MAX);
         else if (arg == "--deadline-ms")
-            opts.deadline_ms = std::strtoull(next().c_str(), nullptr, 0);
+            opts.deadline_ms = next_uint(UINT64_MAX);
         else if (arg == "--kill-after-fills")
-            opts.kill_after_fills =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.kill_after_fills = next_uint(UINT64_MAX);
         else if (arg == "--trace-out")
             opts.trace_out = next();
         else if (arg == "--metrics-out")
             opts.metrics_out = next();
         else if (arg == "--metrics-interval-ms")
-            opts.metrics_interval_ms =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.metrics_interval_ms = next_uint(UINT64_MAX);
         else if (arg == "--wedge-demo")
             opts.wedge_demo = true;
         else if (arg == "--record-opcodes")
@@ -274,25 +256,6 @@ BootWedge(cpu::Machine& machine)
         machine.memory().Write32(4 * v, kBadPc);
     machine.memory().Write8(kBadPc, 0xFF);  // unassigned opcode
     machine.set_pc(kBadPc);
-}
-
-/** Builds the supervisor options shared by fresh and resumed captures. */
-core::SupervisorOptions
-MakeSupervision(const Options& opts, core::CheckpointRotator* rotator,
-                trace::FileSink* sink, const core::CheckpointMeta& meta,
-                uint64_t max_instructions)
-{
-    core::SupervisorOptions sup;
-    sup.max_instructions = max_instructions;
-    sup.watchdog_ucycles = opts.watchdog_ucycles;
-    sup.deadline_ms = opts.deadline_ms;
-    sup.stop_flag = &g_stop;
-    sup.checkpoints = rotator;
-    sup.checkpoint_every_fills = opts.checkpoint_every;
-    sup.file_sink = rotator ? sink : nullptr;
-    sup.meta = meta;
-    sup.kill_after_fills = opts.kill_after_fills;
-    return sup;
 }
 
 /** Flat key/value capture configuration for the run manifest. */
@@ -412,72 +375,102 @@ OpenEmitter(const Options& opts)
                                    obs::Registry::Global(), eopts);
 }
 
+/** The pre-ATUM baseline: a probe that sees one process's user mode. */
 int
-RunResumed(const Options& opts, uint64_t started_ms)
+RunUserOnly(const Options& opts, const cpu::Machine::Config& config,
+            const std::vector<kernel::GuestProgram>& programs,
+            const kernel::BootOptions& boot_options, uint64_t started_ms)
 {
-    util::StatusOr<core::Checkpoint> ckpt =
-        core::Checkpoint::Load(opts.resume);
-    if (!ckpt.ok()) {
-        std::fprintf(stderr, "atum-capture: loading %s: %s\n",
-                     opts.resume.c_str(),
-                     ckpt.status().ToString().c_str());
-        return util::ExitCodeFor(ckpt.status());
-    }
-    const core::CheckpointMeta& meta = ckpt->meta();
-    if (!meta.has_sink_state) {
-        std::fprintf(stderr,
-                     "atum-capture: %s carries no trace-sink state; "
-                     "nothing to resume into\n",
-                     opts.resume.c_str());
-        return util::kExitCorrupt;
-    }
-    const std::string out =
-        opts.out.empty() ? meta.trace_path : opts.out;
-
+    cpu::Machine machine(config);
     util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
-        trace::FileSink::OpenResumed(out, ckpt->sink_state());
+        trace::FileSink::Open(opts.out);
     if (!sink.ok()) {
-        std::fprintf(stderr, "atum-capture: reopening %s: %s\n",
-                     out.c_str(), sink.status().ToString().c_str());
+        std::fprintf(stderr, "atum-capture: %s\n",
+                     sink.status().ToString().c_str());
         return util::ExitCodeFor(sink.status());
     }
+    core::UserTracerConfig tracer_config;
+    tracer_config.target_pid = static_cast<uint16_t>(opts.user_only_pid);
+    core::UserOnlyTracer tracer(machine, **sink, tracer_config);
+    kernel::BootSystem(machine, programs, boot_options);
+    const core::SessionResult result =
+        core::RunBaseline(machine, tracer, opts.max_instructions);
+    return Finish(opts, result, machine, **sink, opts.out, started_ms);
+}
 
-    // Construction order matters: the tracer's buffer reservation must
-    // exist before the memory image is restored over it, and both must
-    // match the geometry recorded in the checkpoint meta.
-    cpu::Machine machine(meta.machine_config);
-    core::AtumTracer tracer(machine, **sink, meta.tracer_config);
-    util::Status status = ckpt->RestoreMachine(machine);
-    if (status.ok())
-        status = ckpt->RestoreTracer(tracer);
-    if (!status.ok()) {
-        std::fprintf(stderr, "atum-capture: restoring %s: %s\n",
-                     opts.resume.c_str(), status.ToString().c_str());
-        return util::ExitCodeFor(status);
-    }
+int
+Run(const Options& opts)
+{
+    const uint64_t started_ms = obs::WallClockMs();
 
-    // Continue the original rotation series: a checkpoint path looks like
-    // BASE.NNNNNN.atck, so the base is recoverable from --resume itself
-    // when --checkpoint is not repeated.
+    std::unique_ptr<core::Capture> capture;
     std::string base = opts.checkpoint;
-    if (base.empty()) {
-        base = opts.resume;
-        const size_t dot = base.rfind(".atck");
-        size_t seq_dot = std::string::npos;
-        if (dot != std::string::npos)
-            seq_dot = base.find_last_of('.', dot - 1);
-        if (seq_dot != std::string::npos && seq_dot + 1 < dot)
-            base = base.substr(0, seq_dot);
+    if (!opts.resume.empty()) {
+        // The checkpoint names the trace and its geometry; the rotation
+        // series continues where --resume came from unless --checkpoint
+        // moves it.
+        util::StatusOr<std::unique_ptr<core::Capture>> resumed =
+            core::Capture::Resume(opts.resume, opts.out);
+        if (!resumed.ok()) {
+            std::fprintf(stderr, "atum-capture: resuming: %s\n",
+                         resumed.status().ToString().c_str());
+            return util::ExitCodeFor(resumed.status());
+        }
+        capture = std::move(*resumed);
+        if (base.empty())
+            base = core::CheckpointSeriesBase(opts.resume);
+        if (base.empty())
+            base = capture->sink().path() + ".ckpt";
+    } else {
+        std::vector<kernel::GuestProgram> programs;
+        for (const std::string& name : opts.workload_names)
+            if (!name.empty())
+                programs.push_back(workloads::MakeWorkload(name, opts.scale));
+        if (opts.pipeline > 0) {
+            for (auto& gp : workloads::MakePipelinePair(opts.pipeline))
+                programs.push_back(std::move(gp));
+        }
+        kernel::BootOptions boot_options;
+        boot_options.max_pool_frames = opts.pool_frames;
+        cpu::Machine::Config config;
+        config.mem_bytes = opts.mem_mb << 20;
+        config.timer_reload = opts.timer;
+        if (opts.user_only_pid != 0)
+            return RunUserOnly(opts, config, programs, boot_options,
+                               started_ms);
+
+        core::AtumConfig tracer_config;
+        tracer_config.buffer_bytes = opts.buffer_kb << 10;
+        tracer_config.record_opcodes = opts.record_opcodes;
+        util::StatusOr<std::unique_ptr<core::Capture>> started =
+            core::Capture::Start(opts.out, config, tracer_config,
+                                 trace::Atf2WriterOptions{}.chunk_records);
+        if (!started.ok()) {
+            std::fprintf(stderr, "atum-capture: %s\n",
+                         started.status().ToString().c_str());
+            return util::ExitCodeFor(started.status());
+        }
+        capture = std::move(*started);
+        if (opts.wedge_demo)
+            BootWedge(capture->machine());
         else
-            base = out + ".ckpt";
+            kernel::BootSystem(capture->machine(), programs, boot_options);
     }
-    core::CheckpointRotator rotator(base, opts.checkpoint_keep,
-                                    meta.sequence + 1);
-    core::CheckpointMeta next_meta = meta;
-    next_meta.trace_path = out;
-    core::SupervisorOptions sup =
-        MakeSupervision(opts, &rotator, sink->get(), next_meta,
-                        meta.instructions_remaining);
+    const std::string& out = capture->sink().path();
+
+    std::unique_ptr<core::CheckpointRotator> rotator;
+    if (!base.empty())
+        rotator = std::make_unique<core::CheckpointRotator>(
+            base, opts.checkpoint_keep, capture->next_sequence());
+    core::SupervisorOptions sup;
+    sup.max_instructions = capture->Budget(opts.max_instructions);
+    sup.watchdog_ucycles = opts.watchdog_ucycles;
+    sup.deadline_ms = opts.deadline_ms;
+    sup.stop_flag = &g_stop;
+    sup.checkpoints = rotator.get();
+    sup.checkpoint_every_fills = opts.checkpoint_every;
+    sup.file_sink = rotator ? &capture->sink() : nullptr;
+    sup.kill_after_fills = opts.kill_after_fills;
 
     util::StatusOr<std::unique_ptr<obs::StatsEmitter>> emitter =
         OpenEmitter(opts);
@@ -496,97 +489,9 @@ RunResumed(const Options& opts, uint64_t started_ms)
     sup.profiler = &profiler;
 
     const core::SessionResult result =
-        core::RunSupervised(machine, tracer, sup);
-    return Finish(opts, result, machine, **sink, out, started_ms,
-                  &profiler);
-}
-
-int
-Run(const Options& opts)
-{
-    const uint64_t started_ms = obs::WallClockMs();
-    if (!opts.resume.empty())
-        return RunResumed(opts, started_ms);
-
-    cpu::Machine::Config config;
-    config.mem_bytes = opts.mem_mb << 20;
-    config.timer_reload = opts.timer;
-    cpu::Machine machine(config);
-
-    std::vector<kernel::GuestProgram> programs;
-    for (const std::string& name : opts.workload_names)
-        if (!name.empty())
-            programs.push_back(workloads::MakeWorkload(name, opts.scale));
-    if (opts.pipeline > 0) {
-        for (auto& gp : workloads::MakePipelinePair(opts.pipeline))
-            programs.push_back(std::move(gp));
-    }
-
-    kernel::BootOptions boot_options;
-    boot_options.max_pool_frames = opts.pool_frames;
-
-    util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
-        trace::FileSink::Open(opts.out);
-    if (!sink.ok()) {
-        std::fprintf(stderr, "atum-capture: %s\n",
-                     sink.status().ToString().c_str());
-        return util::ExitCodeFor(sink.status());
-    }
-
-    if (opts.user_only_pid != 0) {
-        core::UserTracerConfig tracer_config;
-        tracer_config.target_pid =
-            static_cast<uint16_t>(opts.user_only_pid);
-        core::UserOnlyTracer tracer(machine, **sink, tracer_config);
-        kernel::BootSystem(machine, programs, boot_options);
-        const core::SessionResult result =
-            core::RunBaseline(machine, tracer, opts.max_instructions);
-        return Finish(opts, result, machine, **sink, opts.out, started_ms);
-    }
-
-    core::AtumConfig tracer_config;
-    tracer_config.buffer_bytes = opts.buffer_kb << 10;
-    tracer_config.record_opcodes = opts.record_opcodes;
-    core::AtumTracer tracer(machine, **sink, tracer_config);
-    if (opts.wedge_demo)
-        BootWedge(machine);
-    else
-        kernel::BootSystem(machine, programs, boot_options);
-
-    core::CheckpointMeta meta;
-    meta.machine_config = config;
-    meta.tracer_config = tracer_config;
-    meta.trace_path = opts.out;
-
-    std::unique_ptr<core::CheckpointRotator> rotator;
-    if (!opts.checkpoint.empty())
-        rotator = std::make_unique<core::CheckpointRotator>(
-            opts.checkpoint, opts.checkpoint_keep);
-
-    core::SupervisorOptions sup =
-        MakeSupervision(opts, rotator.get(), sink->get(), meta,
-                        opts.max_instructions);
-
-    util::StatusOr<std::unique_ptr<obs::StatsEmitter>> emitter =
-        OpenEmitter(opts);
-    if (!emitter.ok()) {
-        std::fprintf(stderr, "atum-capture: opening %s: %s\n",
-                     opts.metrics_out.c_str(),
-                     emitter.status().ToString().c_str());
-        return util::ExitCodeFor(emitter.status());
-    }
-    sup.emitter = emitter->get();
-
-    const std::string flight_path = opts.out + ".flight.json";
-    obs::flight::SetDumpPath(flight_path.c_str());
-    obs::flight::InstallCrashHandler();
-    obs::PhaseProfiler profiler;
-    sup.profiler = &profiler;
-
-    const core::SessionResult result =
-        core::RunSupervised(machine, tracer, sup);
-    return Finish(opts, result, machine, **sink, opts.out, started_ms,
-                  &profiler);
+        core::RunSupervised(capture->machine(), capture->tracer(), sup);
+    return Finish(opts, result, capture->machine(), capture->sink(), out,
+                  started_ms, &profiler);
 }
 
 }  // namespace

@@ -77,6 +77,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,6 +86,7 @@
 #include "io/chaos.h"
 #include "obs/flight.h"
 #include "util/build_info.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/status.h"
 
@@ -113,33 +115,6 @@ struct Options {
     chaos::DrillSpec spec;
 };
 
-std::vector<std::string>
-SplitCommas(const std::string& s)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= s.size()) {
-        const size_t comma = s.find(',', start);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(start));
-            break;
-        }
-        out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-uint64_t
-ParseUint(const std::string& arg, const std::string& value)
-{
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        UsageError(arg, " wants a number, got '", value, "'");
-    return v;
-}
-
 Options
 ParseArgs(int argc, char** argv)
 {
@@ -160,15 +135,18 @@ ParseArgs(int argc, char** argv)
                 UsageError(arg, " requires a value");
             return argv[++i];
         };
-        auto next_u32 = [&]() {
-            return static_cast<uint32_t>(ParseUint(arg, next()));
+        auto next_uint = [&](uint64_t max = UINT64_MAX) {
+            return util::FlagUint("atum-chaos", arg, next(), 10, max);
+        };
+        auto next_u32 = [&] {
+            return static_cast<uint32_t>(next_uint(UINT32_MAX));
         };
         if (arg == "--campaign")
-            campaigns = SplitCommas(next());
+            campaigns = util::SplitCommas(next());
         else if (arg == "--seeds")
-            opts.seeds = ParseUint(arg, next());
+            opts.seeds = next_uint();
         else if (arg == "--first-seed")
-            opts.first_seed = ParseUint(arg, next());
+            opts.first_seed = next_uint();
         else if (arg == "--replay")
             opts.replay = next();
         else if (arg == "--probe")
@@ -194,13 +172,10 @@ ParseArgs(int argc, char** argv)
             // Bare --sweeps enables the default sweep mix; a following
             // number sets how many sweeps each drill submits.
             sweeps = 2;
-            if (i + 1 < argc && argv[i + 1][0] != '-' &&
-                argv[i + 1][0] != '\0') {
-                char* end = nullptr;
-                const unsigned long long v =
-                    std::strtoull(argv[i + 1], &end, 10);
-                if (end != argv[i + 1] && *end == '\0') {
-                    sweeps = static_cast<uint32_t>(v);
+            if (i + 1 < argc) {
+                if (const std::optional<uint64_t> v =
+                        util::ParseUint(argv[i + 1], 10, UINT32_MAX)) {
+                    sweeps = static_cast<uint32_t>(*v);
                     ++i;
                 }
             }
@@ -222,7 +197,7 @@ ParseArgs(int argc, char** argv)
             const uint32_t v = next_u32();
             shape.push_back([v](chaos::DrillSpec& s) { s.scale = v; });
         } else if (arg == "--max-instructions") {
-            const uint64_t v = ParseUint(arg, next());
+            const uint64_t v = next_uint();
             shape.push_back(
                 [v](chaos::DrillSpec& s) { s.max_instructions = v; });
         } else if (arg == "--buffer-kb") {
@@ -232,7 +207,7 @@ ParseArgs(int argc, char** argv)
             const uint32_t v = next_u32();
             shape.push_back([v](chaos::DrillSpec& s) { s.chunk_records = v; });
         } else if (arg == "--checkpoint-every") {
-            const uint64_t v = ParseUint(arg, next());
+            const uint64_t v = next_uint();
             shape.push_back(
                 [v](chaos::DrillSpec& s) { s.checkpoint_every_fills = v; });
         } else if (arg == "--checkpoint-keep") {

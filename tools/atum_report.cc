@@ -59,6 +59,7 @@
 #include "trace/container.h"
 #include "trace/sink.h"
 #include "trace/stats.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/signals.h"
 #include "util/status.h"
@@ -141,15 +142,19 @@ ParseArgs(int argc, char** argv)
                 UsageError(arg, " requires a value");
             return argv[++i];
         };
+        auto next_u32 = [&] {
+            return static_cast<uint32_t>(
+                util::FlagUint("atum-report", arg, next(), 0, UINT32_MAX));
+        };
         if (arg == "--head")
-            opts.head = std::strtoul(next().c_str(), nullptr, 0);
+            opts.head = next_u32();
         else if (arg == "--cache") {
             opts.cache_config = ParseCacheSpec(next());
             opts.have_cache = true;
         } else if (arg == "--sweep")
             opts.sweep_configs = ParseSweepSpecs(next());
         else if (arg == "--jobs")
-            opts.jobs = std::strtoul(next().c_str(), nullptr, 0);
+            opts.jobs = next_u32();
         else if (arg == "--flush-on-switch")
             opts.driver_options.flush_on_switch = true;
         else if (arg == "--pid-tags")
@@ -157,7 +162,7 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--no-kernel")
             opts.driver_options.include_kernel = false;
         else if (arg == "--tlb")
-            opts.tlb_entries = std::strtoul(next().c_str(), nullptr, 0);
+            opts.tlb_entries = next_u32();
         else if (arg == "--working-sets")
             opts.working_sets = true;
         else if (arg == "--stack-distance")

@@ -66,6 +66,7 @@
 #include "serve/server.h"
 #include "serve/socket.h"
 #include "util/build_info.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/signals.h"
 #include "util/status.h"
@@ -103,21 +104,22 @@ ParseArgs(int argc, char** argv)
                 UsageError(arg, " requires a value");
             return argv[++i];
         };
-        auto next_u64 = [&] {
-            return std::strtoull(next().c_str(), nullptr, 0);
+        auto next_u64 = [&](uint64_t max = UINT64_MAX) {
+            return util::FlagUint("atum-serve", arg, next(), 0, max);
+        };
+        auto next_u32 = [&] {
+            return static_cast<uint32_t>(next_u64(UINT32_MAX));
         };
         if (arg == "--dir")
             opts.config.dir = next();
         else if (arg == "--socket")
             opts.socket_path = next();
         else if (arg == "--workers")
-            opts.config.workers = static_cast<unsigned>(next_u64());
+            opts.config.workers = next_u32();
         else if (arg == "--max-queue")
-            opts.config.admission.max_queue_depth =
-                static_cast<uint32_t>(next_u64());
+            opts.config.admission.max_queue_depth = next_u32();
         else if (arg == "--max-per-tenant")
-            opts.config.admission.max_per_tenant =
-                static_cast<uint32_t>(next_u64());
+            opts.config.admission.max_per_tenant = next_u32();
         else if (arg == "--default-max-instructions")
             opts.config.admission.default_max_instructions = next_u64();
         else if (arg == "--max-instructions-cap")
@@ -129,14 +131,11 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--checkpoint-every-fills")
             opts.config.checkpoint_every_fills = next_u64();
         else if (arg == "--keep-checkpoints")
-            opts.config.keep_checkpoints =
-                static_cast<uint32_t>(next_u64());
+            opts.config.keep_checkpoints = next_u32();
         else if (arg == "--max-connections")
-            opts.governor.max_connections =
-                static_cast<uint32_t>(next_u64());
+            opts.governor.max_connections = next_u32();
         else if (arg == "--max-conns-per-tenant")
-            opts.governor.max_per_tenant =
-                static_cast<uint32_t>(next_u64());
+            opts.governor.max_per_tenant = next_u32();
         else if (arg == "--conn-idle-ms")
             opts.governor.idle_timeout_ms = next_u64();
         else if (arg == "--trace-out")

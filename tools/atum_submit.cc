@@ -78,6 +78,7 @@
 #include "serve/protocol.h"
 #include "serve/socket.h"
 #include "util/build_info.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/signals.h"
@@ -141,8 +142,11 @@ ParseArgs(int argc, char** argv)
                 UsageError(arg, " requires a value");
             return argv[++i];
         };
-        auto next_u64 = [&] {
-            return std::strtoull(next().c_str(), nullptr, 0);
+        auto next_u64 = [&](uint64_t max = UINT64_MAX) {
+            return util::FlagUint("atum-submit", arg, next(), 0, max);
+        };
+        auto next_u32 = [&] {
+            return static_cast<uint32_t>(next_u64(UINT32_MAX));
         };
         if (arg == "--socket")
             opts.socket_path = next();
@@ -151,7 +155,7 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--workload")
             opts.request.workload = next();
         else if (arg == "--scale")
-            opts.request.scale = static_cast<uint32_t>(next_u64());
+            opts.request.scale = next_u32();
         else if (arg == "--max-instructions")
             opts.request.quota.max_instructions = next_u64();
         else if (arg == "--max-trace-bytes")
@@ -182,7 +186,7 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--token")
             opts.request.client_token = next();
         else if (arg == "--retries")
-            opts.retries = static_cast<uint32_t>(next_u64());
+            opts.retries = next_u32();
         else if (arg == "--retry-base-ms")
             opts.retry_base_ms = next_u64();
         else if (arg == "--retry-budget-ms")

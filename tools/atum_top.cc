@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "util/build_info.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/signals.h"
@@ -78,7 +79,7 @@ ParseArgs(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--interval-ms")
-            opts.interval_ms = std::strtoull(next().c_str(), nullptr, 0);
+            opts.interval_ms = util::FlagUint("atum-top", arg, next());
         else if (arg == "--once")
             opts.once = true;
         else if (arg == "--serve") {
