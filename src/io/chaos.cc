@@ -385,6 +385,9 @@ class ChaosVfs::ChaosReadableFile : public ReadableFile
         return got;
     }
 
+    /** Metadata, not an operation: neither counted nor fault-scheduled. */
+    util::StatusOr<uint64_t> Size() const override { return inner_->Size(); }
+
   private:
     ChaosVfs* vfs_;
     std::unique_ptr<ReadableFile> inner_;

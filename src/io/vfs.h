@@ -64,6 +64,12 @@ class ReadableFile
 
     /** Reads up to `len` bytes; returns the count read, 0 at end. */
     virtual util::StatusOr<size_t> Read(void* data, size_t len) = 0;
+
+    /**
+     * The file's length in bytes when opened. Readers use it to size
+     * their buffer, not to bound the read: they still read to the end.
+     */
+    virtual util::StatusOr<uint64_t> Size() const = 0;
 };
 
 /** The filesystem operations the capture pipeline is allowed to use. */

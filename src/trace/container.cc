@@ -1,6 +1,8 @@
 #include "trace/container.h"
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <sstream>
 
 #include "util/crc32.h"
@@ -61,9 +63,16 @@ constexpr size_t kNpos = static_cast<size_t>(-1);
  */
 constexpr int kMaxInterrupts = 100;
 
+/**
+ * ScanTrace's read-call size. ChaosVfs numbers reads per call and the
+ * bitflip campaign aims `flip-read` by that number, so changing it moves
+ * which bytes a seeded campaign damages.
+ */
+constexpr size_t kScanReadBytes = 64 << 10;
+
 /** First offset >= `from` holding a chunk or footer marker, or kNpos. */
 size_t
-FindMarker(const std::vector<uint8_t>& b, size_t from)
+FindMarker(std::span<const uint8_t> b, size_t from)
 {
     for (size_t i = from; i + 4 <= b.size(); ++i) {
         const uint32_t m = Get32(&b[i]);
@@ -185,6 +194,13 @@ FileByteSource::Read(void* data, size_t len)
          ++i)
         got = file_->Read(data, len);
     return got;
+}
+
+uint64_t
+FileByteSource::SizeHint() const
+{
+    util::StatusOr<uint64_t> size = file_->Size();
+    return size.ok() ? *size : 0;
 }
 
 util::StatusOr<size_t>
@@ -339,19 +355,30 @@ ScanReport
 ScanTrace(ByteSource& in, std::vector<Record>* out)
 {
     ScanReport report;
-    std::vector<uint8_t> b;
-    uint8_t buf[64 << 10];
+    // Read to the end in fixed-size calls, straight into one buffer sized
+    // from the source's hint (plus room for the call that returns 0); a
+    // short hint only costs a regrow.
+    size_t capacity = in.SizeHint() + kScanReadBytes;
+    auto buf = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+    size_t have = 0;
     while (true) {
-        util::StatusOr<size_t> got = in.Read(buf, sizeof buf);
+        if (capacity - have < kScanReadBytes) {
+            capacity = std::max(capacity * 2, have + kScanReadBytes);
+            auto grown = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+            std::memcpy(grown.get(), buf.get(), have);
+            buf = std::move(grown);
+        }
+        util::StatusOr<size_t> got = in.Read(buf.get() + have, kScanReadBytes);
         if (!got.ok()) {
             report.issues.push_back(
-                {b.size(), "read failed: " + got.status().ToString()});
+                {have, "read failed: " + got.status().ToString()});
             break;
         }
         if (*got == 0)
             break;
-        b.insert(b.end(), buf, buf + *got);
+        have += *got;
     }
+    const std::span<const uint8_t> b(buf.get(), have);
     report.file_bytes = b.size();
 
     bool prefix_intact = report.issues.empty();
@@ -387,6 +414,9 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
         }
     }
 
+    // Every record takes 8 file bytes, so this is an upper bound.
+    if (out != nullptr)
+        out->reserve(out->size() + b.size() / kRecordBytes);
     size_t pos = kAtf2HeaderBytes;
     while (pos < b.size()) {
         if (b.size() - pos < 4) {
@@ -449,29 +479,29 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
                           " of " + std::to_string(payload) + " bytes)");
                 break;
             }
-            const uint8_t* records = &b[pos + kAtf2ChunkHeaderBytes];
+            const uint8_t* records = b.data() + pos + kAtf2ChunkHeaderBytes;
             bool good = Get32(&b[pos + 8]) == util::Crc32c(records, payload);
             if (good) {
-                for (uint32_t i = 0; i < count; ++i) {
-                    if (!IsPlausibleRecord(
-                            UnpackRecord(records + i * kRecordBytes))) {
-                        good = false;
-                        break;
-                    }
+                // Unpack once: vet each record and keep it; one bad record
+                // takes back the whole chunk's.
+                const size_t kept = out != nullptr ? out->size() : 0;
+                for (uint32_t i = 0; i < count && good; ++i) {
+                    const Record r = UnpackRecord(records + i * kRecordBytes);
+                    good = IsPlausibleRecord(r);
+                    if (good && out != nullptr)
+                        out->push_back(r);
                 }
-                if (!good)
+                if (!good) {
+                    if (out != nullptr)
+                        out->resize(kept);
                     issue(pos, "chunk passes CRC but holds implausible "
                                "records");
+                }
             } else {
                 issue(pos, "chunk payload CRC mismatch (" +
                                std::to_string(count) + " records lost)");
             }
             if (good) {
-                if (out != nullptr) {
-                    for (uint32_t i = 0; i < count; ++i)
-                        out->push_back(
-                            UnpackRecord(records + i * kRecordBytes));
-                }
                 ++report.chunks_ok;
                 report.records_salvaged += count;
                 if (prefix_intact)

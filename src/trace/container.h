@@ -78,6 +78,11 @@ class ByteSource
     virtual ~ByteSource() = default;
     /** Reads up to `len` bytes; returns the count read, 0 at end. */
     virtual util::StatusOr<size_t> Read(void* data, size_t len) = 0;
+    /**
+     * Bytes a read to the end is expected to return, 0 when unknown. Only
+     * sizes the reader's buffer: a wrong hint costs speed, not bytes.
+     */
+    virtual uint64_t SizeHint() const { return 0; }
 };
 
 /**
@@ -127,6 +132,8 @@ class FileByteSource : public ByteSource
     FileByteSource& operator=(const FileByteSource&) = delete;
 
     util::StatusOr<size_t> Read(void* data, size_t len) override;
+    /** The file's length at open (io::ReadableFile::Size), else 0. */
+    uint64_t SizeHint() const override;
 
   private:
     FileByteSource(std::unique_ptr<io::ReadableFile> file, std::string path);
@@ -163,6 +170,8 @@ class MemoryByteSource : public ByteSource
     }
 
     util::StatusOr<size_t> Read(void* data, size_t len) override;
+    /** Exact: the bytes not yet read. */
+    uint64_t SizeHint() const override { return bytes_.size() - pos_; }
 
   private:
     const std::vector<uint8_t>& bytes_;
@@ -304,6 +313,9 @@ struct ScanReport {
  * chunk marker, and appends every salvageable record to `out` (which may
  * be null to verify only). Never terminates the process; all damage is
  * described in the returned report.
+ *
+ * The whole stream is read first, to its end, in 64 KiB Read calls into
+ * one buffer sized from `in.SizeHint()`.
  */
 ScanReport ScanTrace(ByteSource& in, std::vector<Record>* out);
 

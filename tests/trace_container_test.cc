@@ -16,6 +16,7 @@
 #include "trace/container.h"
 #include "trace/record.h"
 #include "trace/sink.h"
+#include "util/crc32.h"
 #include "util/status.h"
 
 namespace atum::trace {
@@ -234,6 +235,39 @@ TEST(Container, RetiredV1MagicScansAsUnrecognized)
     EXPECT_TRUE(back.empty());
 }
 
+// A CRC-clean chunk holding one impossible record (a type byte no writer
+// produces) is rejected whole: the records unpacked before the bad one
+// must not stay in `out`.
+TEST(Container, ImplausibleRecordRollsBackItsWholeChunk)
+{
+    std::vector<uint8_t> bytes = SealedContainer(10);
+    // Record 6 is the third record of chunk 1; give it type 0xEE and
+    // re-checksum the payload and the chunk header around it.
+    uint8_t* chunk = bytes.data() + kChunk1;
+    uint8_t* payload = chunk + kAtf2ChunkHeaderBytes;
+    payload[2 * kRecordBytes + 4] = 0xEE;
+    const auto put32 = [](uint8_t* p, uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            p[i] = static_cast<uint8_t>(v >> (8 * i));
+    };
+    put32(chunk + 8, util::Crc32c(payload, 4 * kRecordBytes));
+    put32(chunk + 12, util::Crc32c(chunk, 12));
+
+    std::vector<Record> out;
+    const ScanReport report = Scan(bytes, &out);
+    EXPECT_EQ(report.chunks_ok, 2u);
+    EXPECT_EQ(report.chunks_bad, 1u);
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].offset, kChunk1);
+    EXPECT_EQ(report.issues[0].error,
+              "chunk passes CRC but holds implausible records");
+    std::vector<Record> expected = TestRecords(4);
+    expected.push_back(TestRecord(8));
+    expected.push_back(TestRecord(9));
+    EXPECT_EQ(out, expected);
+    EXPECT_EQ(report.records_salvaged, expected.size());
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection through FileByteSink / FileByteSource, at the one fault
 // seam: an io::ChaosVfs over an io::MemVfs. Chaos op indices are 1-based
@@ -351,6 +385,88 @@ TEST(Container, FailedReadIsReportedNotFatal)
     EXPECT_EQ(report.records_salvaged, 0u);
     ASSERT_FALSE(report.issues.empty());
     EXPECT_NE(report.issues[0].error.find("read failed"), std::string::npos);
+}
+
+// 20000 records at 4 per chunk: 5000 chunks of 48 bytes, 240 056 bytes
+// in all, so more than three 64 KiB read calls.
+constexpr uint32_t kLargeRecords = 20000;
+
+TEST(Container, LargeScanReadCallsArePinned)
+{
+    io::MemVfs mem;
+    ASSERT_TRUE(WriteFile(mem, TestRecords(kLargeRecords)).ok());
+    ASSERT_EQ(mem.ReadAll(kFaultPath)->size(), 240056u);
+
+    // Four 64 KiB calls return data and a fifth returns 0. The
+    // bitflip campaign aims `flip-read` by this numbering.
+    io::ChaosVfs probe(mem, io::ChaosSchedule{});
+    std::vector<Record> back;
+    EXPECT_TRUE(ScanFile(probe, &back).intact());
+    EXPECT_EQ(probe.counts().reads, 5u);
+    EXPECT_EQ(back, TestRecords(kLargeRecords));
+
+    // Read #3 starts at file offset 131072; its byte 118 is file offset
+    // 131190, inside the payload of chunk 2732 (offset 131168).
+    io::ChaosVfs vfs(mem, OneFault({io::ChaosOpKind::kFlipRead, /*at=*/3,
+                                    /*arg=*/118}));
+    back.clear();
+    const ScanReport report = ScanFile(vfs, &back);
+    EXPECT_EQ(vfs.faults_fired(), 1u);
+    EXPECT_EQ(report.chunks_bad, 1u);
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].offset, 131168u);
+    EXPECT_EQ(report.issues[0].error,
+              "chunk payload CRC mismatch (4 records lost)");
+    std::vector<Record> expected = TestRecords(kLargeRecords);
+    expected.erase(expected.begin() + 2732 * 4,
+                   expected.begin() + 2733 * 4);
+    EXPECT_EQ(back, expected);
+}
+
+/** A memory source that reports a chosen size hint. */
+class HintedSource : public ByteSource
+{
+  public:
+    HintedSource(const std::vector<uint8_t>& bytes, uint64_t hint)
+        : inner_(bytes), hint_(hint)
+    {
+    }
+
+    util::StatusOr<size_t> Read(void* data, size_t len) override
+    {
+        return inner_.Read(data, len);
+    }
+    uint64_t SizeHint() const override { return hint_; }
+
+  private:
+    MemoryByteSource inner_;
+    uint64_t hint_;
+};
+
+TEST(Container, SizeHintChangesNothingButSpeed)
+{
+    // Damaged and unsealed, so the report has issues to compare too.
+    std::vector<uint8_t> bytes = SealedContainer(kLargeRecords);
+    bytes[kChunk1 + 20] ^= 0x80;
+    bytes[150000] ^= 0x01;
+    bytes.resize(bytes.size() - 30);
+
+    std::vector<Record> exact_records;
+    MemoryByteSource exact(bytes);
+    ASSERT_EQ(exact.SizeHint(), bytes.size());
+    const ScanReport want = ScanTrace(exact, &exact_records);
+    ASSERT_EQ(want.chunks_bad, 2u);
+
+    for (const uint64_t hint :
+         {uint64_t{0}, uint64_t{1}, uint64_t{bytes.size() / 3},
+          uint64_t{bytes.size() - 1}, uint64_t{bytes.size() + 1},
+          uint64_t{2 * bytes.size() + 12345}}) {
+        HintedSource source(bytes, hint);
+        std::vector<Record> records;
+        const ScanReport got = ScanTrace(source, &records);
+        EXPECT_EQ(got.ToString(), want.ToString()) << "hint " << hint;
+        EXPECT_EQ(records, exact_records) << "hint " << hint;
+    }
 }
 
 TEST(Container, SalvageOfDamagedFileVerifiesIntact)
