@@ -18,15 +18,17 @@ Comparison policy, per metric (keyed by name + config):
 
 A baseline metric missing from the run fails (a bench silently dropped
 coverage); a run metric missing from the baseline is only a warning
-(new coverage awaiting `--update`).
+(new coverage awaiting `--update`). Likewise, a directory input must
+hold a report for every baseline: BenchReport write failures are only
+warnings, so a bench that stops writing its JSON would otherwise pass.
 
 Usage:
   check_bench_regression.py [--baselines DIR] FILE_OR_DIR...
   check_bench_regression.py --update [--baselines DIR] FILE_OR_DIR...
 
-Files that are not schema-1 bench reports (e.g. Google Benchmark output
-like BENCH_t5_sim_speed.json) are skipped with a note. Exit codes:
-0 clean, 1 drift/missing-metric, 2 usage or unreadable input.
+Files that are not schema-1 bench reports are skipped with a note.
+Exit codes: 0 clean, 1 drift/missing metric/missing report, 2 usage or
+unreadable input.
 """
 
 import argparse
@@ -160,11 +162,14 @@ def main():
     failures = []
     checked = 0
     regressed = []  # bench names with at least one failure, in order
+    reported = set()  # (directory, bench) of every loaded report
     for path in files:
         report, skip = load_report(path)
         if report is None:
             print(f"skip: {path}: {skip}")
             continue
+        reported.add((os.path.normpath(os.path.dirname(path)),
+                      report["bench"]))
         base_path = os.path.join(args.baselines,
                                  f"BENCH_{report['bench']}.json")
         if args.update:
@@ -183,6 +188,16 @@ def main():
 
     if args.update:
         return 0
+    for path in filter(os.path.isdir, args.inputs):
+        for name in sorted(os.listdir(args.baselines)):
+            if not (name.startswith("BENCH_") and name.endswith(".json")):
+                continue
+            bench = name[len("BENCH_"):-len(".json")]
+            if (os.path.normpath(path), bench) not in reported:
+                checked += 1
+                regressed.append(bench)
+                failures.append(f"{bench}: no report in {path} "
+                                "(the bench did not write its JSON)")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:

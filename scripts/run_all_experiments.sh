@@ -1,6 +1,6 @@
 #!/bin/sh
-# Regenerates every table and figure (T1..T6, F1..F6, A1..A10) plus the
-# google-benchmark speed sheet. Run from the repository root after
+# Regenerates every table and figure (T1..T6, F1..F6, A1..A8, A10),
+# T5 being the capture phase sheet. Run from the repository root after
 # building into ./build. Output mirrors EXPERIMENTS.md.
 #
 # Each harness also writes a machine-readable BENCH_<name>.json into
@@ -19,8 +19,8 @@ for b in \
     bench_f5_working_sets bench_f6_paging \
     bench_a1_compression bench_a2_stack_distance bench_a3_hierarchy \
     bench_a4_sampling bench_a5_write_policy bench_a6_machine_tb \
-    bench_a7_set_sampling bench_a8_prefetch bench_a9_parallel_sweep \
-    bench_a10_fault_recovery bench_t5_sim_speed; do
+    bench_a7_set_sampling bench_a8_prefetch bench_a10_fault_recovery \
+    bench_t5_phase_breakdown; do
     echo "===================================================== $b"
     "$BUILD/bench/$b"
     echo

@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end CLI test: capture -> report -> disasm -> parallel sweep
 # golden diff -> exit-code contract -> corruption/verify/salvage round
-# trip. Run by ctest as: test_tools.sh BUILD_DIR [SOURCE_DIR].
+# trip -> chaos drills -> bench regression gate. Run by ctest as:
+# test_tools.sh BUILD_DIR [SOURCE_DIR].
 set -e
 BUILD=$1
 SRC=${2:-$(dirname "$0")/..}
@@ -331,5 +332,16 @@ grep -q "0 failing" "$TMP/out.txt"
 expect_exit 0 "$BUILD/tools/atum-chaos" \
     --replay "$SRC/tests/chaos_corpus/torn-rename.schedule"
 grep -q ": ok" "$TMP/out.txt"
+
+# The bench regression gate: the checked-in baselines gate clean against
+# themselves, and a directory missing one bench's report fails (a bench
+# that stops writing its JSON must not pass).
+GATE="$SRC/scripts/check_bench_regression.py"
+mkdir "$TMP/bench"
+cp "$SRC"/scripts/bench_baselines/BENCH_*.json "$TMP/bench/"
+expect_exit 0 python3 "$GATE" "$TMP/bench"
+rm "$TMP/bench/BENCH_t5_phase_breakdown.json"
+expect_exit 1 python3 "$GATE" "$TMP/bench"
+grep -q "t5_phase_breakdown: no report" "$TMP/err.txt"
 
 echo "tools OK"

@@ -42,10 +42,13 @@ namespace {
 constexpr int kDefaultRingLog2 = 12;  // 4096 spans/thread ≈ 700 KB
 
 /**
- * One thread's span ring. Single writer (the owning thread); `head`
- * counts spans ever recorded, the slot index is `head & mask`. The
- * collector reads rings of exited threads exactly and live rings
- * approximately (quiescent-point contract, see the header).
+ * One span ring. Single writer (the thread holding it); `head` counts
+ * spans ever recorded, the slot index is `head & mask`. When its thread
+ * exits the ring goes back to the collector's free list with its spans
+ * intact, and the next new thread appends after them, so reuse drops
+ * old spans only where wraparound would. The collector reads free rings
+ * exactly and held rings approximately (quiescent-point contract, see
+ * the header).
  */
 struct SpanRing {
     explicit SpanRing(int log2)
@@ -54,17 +57,27 @@ struct SpanRing {
     {
     }
 
+    /** A thread that wrote into this ring, from span `first_head` on. */
+    struct Writer {
+        uint64_t first_head = 0;
+        uint32_t tid = 0;
+        char name[32] = {0};
+    };
+
     std::vector<SpanEvent> slots;
     uint32_t mask;
     std::atomic<uint64_t> head{0};
-    uint32_t tid = 0;
-    char thread_name[32] = {0};
+    uint32_t tid = 0;  ///< the holder's tid, stamped on every new span
+    /** Oldest first, guarded by the collector mutex; the last entry is
+     *  the holder. */
+    std::vector<Writer> writers;
 };
 
-/** Registry of every ring ever created; rings outlive their threads. */
+/** Every ring, held or free: at most one per live span-recording thread. */
 struct SpanCollector {
     std::mutex mu;
     std::vector<std::unique_ptr<SpanRing>> rings;
+    std::vector<SpanRing*> free_rings;  ///< rings whose thread has exited
     uint32_t next_tid = 1;
     int ring_log2 = kDefaultRingLog2;
 };
@@ -76,27 +89,79 @@ SpanCollector& Collector()
 }
 
 std::atomic<bool> g_spans_enabled{true};
-/** Bumped by ResetSpansForTest so cached thread-local pointers die. */
+/** Bumped by ResetSpansForTest so held ring pointers die. */
 std::atomic<uint64_t> g_generation{1};
 
-thread_local SpanRing* t_ring = nullptr;
-thread_local uint64_t t_ring_generation = 0;
+/**
+ * The calling thread's ring, taken on its first span (so never while
+ * spans are off) and handed back to the free list when the thread exits.
+ */
+struct ThreadRing {
+    SpanRing* ring = nullptr;
+    uint64_t generation = 0;
+    char label[24] = {0};  ///< from SetCurrentThreadName
+
+    SpanRing* Held() const
+    {
+        return generation == g_generation.load(std::memory_order_relaxed)
+                   ? ring
+                   : nullptr;
+    }
+
+    ~ThreadRing()
+    {
+        if (ring == nullptr) return;
+        SpanCollector& collector = Collector();
+        std::lock_guard<std::mutex> lock(collector.mu);
+        if (SpanRing* held = Held()) collector.free_rings.push_back(held);
+        ring = nullptr;
+    }
+};
+
+thread_local ThreadRing t_thread;
+
+void NameWriter(SpanRing::Writer& writer, const char* label)
+{
+    if (label[0] != '\0')
+        std::snprintf(writer.name, sizeof writer.name, "%s-%u", label,
+                      writer.tid);
+    else
+        std::snprintf(writer.name, sizeof writer.name,
+                      writer.tid == 1 ? "main" : "thread-%u", writer.tid);
+}
 
 SpanRing* RingForThisThread()
 {
-    if (t_ring != nullptr &&
-        t_ring_generation == g_generation.load(std::memory_order_relaxed))
-        return t_ring;
+    if (SpanRing* ring = t_thread.Held()) return ring;
     SpanCollector& collector = Collector();
     std::lock_guard<std::mutex> lock(collector.mu);
-    auto ring = std::make_unique<SpanRing>(collector.ring_log2);
+    SpanRing* ring = nullptr;
+    if (!collector.free_rings.empty()) {
+        ring = collector.free_rings.back();
+        collector.free_rings.pop_back();
+    } else {
+        ring = collector.rings
+                   .emplace_back(
+                       std::make_unique<SpanRing>(collector.ring_log2))
+                   .get();
+    }
+    // Forget earlier writers none of whose spans survive wraparound.
+    std::vector<SpanRing::Writer>& writers = ring->writers;
+    const uint64_t head = ring->head.load(std::memory_order_relaxed);
+    const uint64_t oldest = head - std::min<uint64_t>(head, ring->slots.size());
+    size_t gone = 0;
+    while (gone + 1 < writers.size() && writers[gone + 1].first_head <= oldest)
+        ++gone;
+    writers.erase(writers.begin(), writers.begin() + gone);
+
     ring->tid = collector.next_tid++;
-    std::snprintf(ring->thread_name, sizeof ring->thread_name,
-                  ring->tid == 1 ? "main" : "thread-%u", ring->tid);
-    t_ring = ring.get();
-    t_ring_generation = g_generation.load(std::memory_order_relaxed);
-    collector.rings.push_back(std::move(ring));
-    return t_ring;
+    SpanRing::Writer& writer = writers.emplace_back();
+    writer.first_head = head;
+    writer.tid = ring->tid;
+    NameWriter(writer, t_thread.label);
+    t_thread.ring = ring;
+    t_thread.generation = g_generation.load(std::memory_order_relaxed);
+    return ring;
 }
 
 void CopyDetail(SpanEvent& event, const char* detail)
@@ -120,9 +185,11 @@ bool SpansEnabled()
 
 void SetCurrentThreadName(const char* name)
 {
-    SpanRing* ring = RingForThisThread();
-    std::snprintf(ring->thread_name, sizeof ring->thread_name, "%s-%u",
-                  name, ring->tid);
+    std::snprintf(t_thread.label, sizeof t_thread.label, "%s", name);
+    if (SpanRing* ring = t_thread.Held()) {
+        std::lock_guard<std::mutex> lock(Collector().mu);
+        NameWriter(ring->writers.back(), t_thread.label);
+    }
 }
 
 void RecordSpan(const char* category, const char* name, uint64_t start_ns,
@@ -176,7 +243,8 @@ SpanDump CollectSpans()
     SpanCollector& collector = Collector();
     std::lock_guard<std::mutex> lock(collector.mu);
     for (const auto& ring : collector.rings) {
-        dump.threads.emplace_back(ring->tid, ring->thread_name);
+        for (const SpanRing::Writer& writer : ring->writers)
+            dump.threads.emplace_back(writer.tid, writer.name);
         const uint64_t head = ring->head.load(std::memory_order_acquire);
         const uint64_t capacity = ring->slots.size();
         const uint64_t count = std::min(head, capacity);
@@ -201,11 +269,19 @@ void SetSpanRingLog2ForTest(int log2_capacity)
     collector.ring_log2 = log2_capacity;
 }
 
+size_t SpanRingCountForTest()
+{
+    SpanCollector& collector = Collector();
+    std::lock_guard<std::mutex> lock(collector.mu);
+    return collector.rings.size();
+}
+
 void ResetSpansForTest()
 {
     SpanCollector& collector = Collector();
     std::lock_guard<std::mutex> lock(collector.mu);
     collector.rings.clear();
+    collector.free_rings.clear();
     collector.next_tid = 1;
     collector.ring_log2 = kDefaultRingLog2;
     g_generation.fetch_add(1, std::memory_order_relaxed);

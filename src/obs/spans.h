@@ -13,8 +13,12 @@
  *     into lock-free thread-local overwrite-oldest rings. A span records
  *     two relaxed timestamps and a fixed-size payload; there is no
  *     allocation, no lock and no syscall on the record path. Rings are
- *     heap-allocated and owned by a process-wide collector so spans from
- *     exited pool workers survive until export. Collection is meant for
+ *     heap-allocated and owned by a process-wide collector. A thread
+ *     takes a ring on its first span (none while spans are off); when it
+ *     exits, the ring goes to a free list with its spans intact, and the
+ *     next new thread reuses it. So spans from exited pool workers
+ *     survive until export or wraparound, and ring memory is bounded by
+ *     the peak number of live recording threads. Collection is meant for
  *     quiescent points (tool shutdown, after joins): the collector reads
  *     live rings without synchronizing with their single writer, which is
  *     benign for a diagnostics dump but not for exact accounting.
@@ -132,7 +136,8 @@ const char* PhaseName(Phase phase);
 void SetSpansEnabled(bool enabled);
 bool SpansEnabled();
 
-/** Names the calling thread in exports ("pool-worker", "serve-conn"). */
+/** Names the calling thread in exports ("pool-worker", "serve-conn").
+ *  Only stores the name: a ring is taken on the thread's first span. */
 void SetCurrentThreadName(const char* name);
 
 /** Records a completed span ending now-ish; called by ~ScopedSpan. */
@@ -151,8 +156,10 @@ void RecordInstant(const char* category, const char* name,
  */
 SpanDump CollectSpans();
 
-/** Test hooks: ring capacity (power of two) and a full reset. */
+/** Test hooks: ring capacity (power of two), the number of rings held
+ *  or free, and a full reset. */
 void SetSpanRingLog2ForTest(int log2_capacity);
+size_t SpanRingCountForTest();
 void ResetSpansForTest();
 
 class ScopedSpan
@@ -359,6 +366,7 @@ inline void RecordInstant(const char*, const char*, const char* = nullptr,
 }
 inline SpanDump CollectSpans() { return {}; }
 inline void SetSpanRingLog2ForTest(int) {}
+inline size_t SpanRingCountForTest() { return 0; }
 inline void ResetSpansForTest() {}
 
 class ScopedSpan

@@ -72,9 +72,10 @@ TraceCompressor::Append(const Record& record)
         static_cast<uint8_t>(log2_size << 5);
     bytes_.push_back(header);
 
-    const int32_t delta = static_cast<int32_t>(record.addr) -
-                          static_cast<int32_t>(last_addr_[type_idx]);
-    PutVarint(bytes_, ZigZag(delta));
+    // Wrap-around difference: any two addresses give a defined delta,
+    // and the bytes match a signed difference wherever one fits.
+    const uint32_t delta = record.addr - last_addr_[type_idx];
+    PutVarint(bytes_, ZigZag(static_cast<int32_t>(delta)));
     last_addr_[type_idx] = record.addr;
 
     if (TypeHasInfo(record.type))
@@ -120,8 +121,7 @@ DecompressTrace(const std::vector<uint8_t>& bytes)
         r.flags = MakeFlags(kernel, static_cast<uint8_t>(1u << log2_size));
 
         const int32_t delta = UnZigZag(GetVarint(bytes, &pos));
-        r.addr = static_cast<uint32_t>(
-            static_cast<int32_t>(last_addr[type_idx]) + delta);
+        r.addr = last_addr[type_idx] + static_cast<uint32_t>(delta);
         last_addr[type_idx] = r.addr;
 
         if (TypeHasInfo(r.type))

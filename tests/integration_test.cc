@@ -49,16 +49,16 @@ MixMachine()
 const std::vector<Record>&
 MixTrace()
 {
-    static const std::vector<Record>& records = [] {
+    static const std::vector<Record> records = [] {
         auto machine = MixMachine();
-        auto* sink = new trace::VectorSink();
+        trace::VectorSink sink;
         AtumConfig config;
         config.buffer_bytes = 128u << 10;
-        AtumTracer tracer(*machine, *sink, config);
+        AtumTracer tracer(*machine, sink, config);
         kernel::BootSystem(*machine, workloads::StandardMix(1));
         const auto result = RunTraced(*machine, tracer, 100'000'000);
         EXPECT_TRUE(result.halted);
-        return *new std::vector<Record>(sink->TakeRecords());
+        return sink.TakeRecords();
     }();
     return records;
 }

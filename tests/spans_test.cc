@@ -1,8 +1,9 @@
 // Unit tests for the observability tracing layer (obs/spans.h,
 // obs/flight.h): span ring wraparound, multi-thread collection
-// exactness at a quiescent point (run under TSan in CI), the Chrome
-// trace-event export schema, deterministic phase-profiler attribution
-// under an injected clock, and the flight recorder's dump format. The
+// exactness at a quiescent point (run under TSan in CI), ring reuse
+// across short-lived pool threads, the Chrome trace-event export
+// schema, deterministic phase-profiler attribution under an injected
+// clock, and the flight recorder's dump format. The
 // suite also compiles (and passes) with -DATUM_TRACING=OFF, where it
 // verifies the compiled-out contract instead: no events, valid export
 // with tracing:"off", and a still-armed flight recorder.
@@ -16,6 +17,8 @@
 
 #include "obs/flight.h"
 #include "obs/spans.h"
+#include "replay/sweep.h"
+#include "trace/record.h"
 #include "util/json.h"
 
 namespace atum::obs {
@@ -136,6 +139,48 @@ TEST_F(SpansTest, MultiThreadCollectionIsExactAfterJoin)
         if (name.rfind("producer", 0) == 0)
             ++producers;
     EXPECT_EQ(producers, kThreads);
+}
+
+TEST_F(SpansTest, PoolThreadsReuseRingsOfExitedThreads)
+{
+    // Every SweepRunner::Run starts a fresh pool whose workers record
+    // sweep.config spans. A worker's ring must go back to the free list
+    // when it exits, so repeated sweeps hold no more rings than threads
+    // ever live at once (the workers plus main), and the export still
+    // names the thread of every surviving span.
+    std::vector<trace::Record> records(1000);
+    for (size_t i = 0; i < records.size(); ++i) {
+        records[i].type = trace::RecordType::kRead;
+        records[i].addr = static_cast<uint32_t>(i * 16);
+        records[i].flags = trace::MakeFlags(false, 4);
+    }
+    std::vector<replay::SweepConfig> configs;
+    for (uint32_t kb : {1u, 2u, 4u, 8u})
+        configs.push_back(replay::MakeCacheJob(
+            {.size_bytes = kb << 10, .block_bytes = 16, .assoc = 1}));
+    constexpr unsigned kJobs = 4;
+    constexpr int kRuns = 20;
+    for (int run = 0; run < kRuns; ++run) {
+        replay::SweepRunner(kJobs).Run(records, configs);
+        EXPECT_LE(SpanRingCountForTest(), kJobs + 1) << "run " << run;
+    }
+    const SpanDump dump = CollectSpans();
+    EXPECT_EQ(dump.dropped, 0u);
+    EXPECT_EQ(dump.events.size(), kRuns * (configs.size() + 1));
+    for (const SpanEvent& event : dump.events) {
+        bool named = false;
+        for (const auto& [tid, name] : dump.threads)
+            named = named || tid == event.tid;
+        EXPECT_TRUE(named) << event.name << " tid " << event.tid;
+    }
+
+    // While spans are off, naming a pool worker takes no ring at all.
+    ResetSpansForTest();
+    SetSpansEnabled(false);
+    for (int run = 0; run < kRuns; ++run)
+        replay::SweepRunner(kJobs).Run(records, configs);
+    SetSpansEnabled(true);
+    EXPECT_EQ(SpanRingCountForTest(), 0u);
 }
 
 TEST_F(SpansTest, ChromeJsonGoldenSchema)
