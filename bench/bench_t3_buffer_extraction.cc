@@ -30,7 +30,7 @@ Run()
         const bench::Capture cap =
             bench::CaptureFullSystem(bench::MixOfDegree(2), config);
         const uint64_t pauses =
-            cap.session.buffer_fills * config.drain_pause_ucycles;
+            cap.session.buffer_fills * core::kDrainPauseUcycles;
         report.Add("buffer_fills",
                    static_cast<double>(cap.session.buffer_fills), "fills",
                    {{"buffer_kb", std::to_string(kib)}});

@@ -169,9 +169,7 @@ CaptureUserOnly(std::vector<kernel::GuestProgram> programs,
 {
     cpu::Machine machine(StandardMachineConfig(timer_reload));
     trace::VectorSink sink;
-    core::UserTracerConfig config;
-    config.target_pid = target_pid;
-    core::UserOnlyTracer tracer(machine, sink, config);
+    core::UserOnlyTracer tracer(machine, sink, target_pid);
     kernel::BootSystem(machine, std::move(programs));
     Capture capture;
     capture.session = core::RunBaseline(machine, tracer, 400'000'000);

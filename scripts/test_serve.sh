@@ -58,6 +58,9 @@ expect_exit 0 "$SUBMIT" --socket "$SOCK" ping
 expect_exit 0 "$SUBMIT" --socket "$SOCK" --workload grep \
     --max-instructions 20000 --wait submit
 grep -q '"state":"done"' "$TMP/out.txt"
+# The auto-generated idempotency token reaches the journal whole:
+# "submit-" and 32 hex digits.
+grep -aEq '"token":"submit-[0-9a-f]{32}"' "$DIR/serve.journal"
 
 # The finished job is visible to status, the status file, and atum-top.
 expect_exit 0 "$SUBMIT" --socket "$SOCK" status

@@ -10,7 +10,6 @@
 namespace atum::core {
 
 using trace::Record;
-using ucode::ControlStore;
 using ucode::MemAccess;
 
 AtumTracer::AtumTracer(cpu::Machine& machine, trace::TraceSink& sink,
@@ -28,64 +27,53 @@ AtumTracer::AtumTracer(cpu::Machine& machine, trace::TraceSink& sink,
 
 AtumTracer::~AtumTracer()
 {
-    if (attached_)
-        Detach();
+    Detach();
     machine_.memory().Unreserve();
 }
 
 void
 AtumTracer::Attach()
 {
-    if (attached_)
-        Fatal("AtumTracer already attached");
-    ControlStore& cs = machine_.control_store();
-
-    cs.PatchMemAccess([this](const MemAccess& access) -> uint32_t {
-        if (access.kind == ucode::MemAccessKind::kIFetch &&
-            !config_.record_ifetch) {
-            return 0;
-        }
-        if (access.kind == ucode::MemAccessKind::kPte &&
-            !config_.record_pte) {
-            return 0;
-        }
-        return Append(trace::FromMemAccess(access));
-    });
-    cs.PatchContextSwitch([this](uint16_t pid, uint32_t pcb_pa) -> uint32_t {
-        return Append(trace::MakeCtxSwitch(pid, pcb_pa));
-    });
-    cs.PatchTlbMiss([this](uint32_t vaddr, bool kernel) -> uint32_t {
-        if (!config_.record_tlb_miss)
-            return 0;
-        return Append(trace::MakeTlbMiss(vaddr, kernel));
-    });
-    cs.PatchExceptionDispatch([this](uint8_t vector) -> uint32_t {
-        if (!config_.record_exceptions)
-            return 0;
-        return Append(trace::MakeException(vector));
-    });
-    if (config_.record_opcodes) {
-        cs.PatchDecode(
-            [this](uint32_t pc, uint8_t opcode, bool kernel) -> uint32_t {
-                return Append(trace::MakeOpcode(pc, opcode, kernel));
-            });
-    }
-
-    attached_ = true;
+    machine_.control_store().Install(*this);
 }
 
 void
 AtumTracer::Detach()
 {
-    if (!attached_)
-        return;
-    ControlStore& cs = machine_.control_store();
-    cs.Unpatch(ucode::PatchPoint::kMemAccess);
-    cs.Unpatch(ucode::PatchPoint::kContextSwitch);
-    cs.Unpatch(ucode::PatchPoint::kTlbMiss);
-    cs.Unpatch(ucode::PatchPoint::kExceptionDispatch);
-    cs.Unpatch(ucode::PatchPoint::kDecode);
-    attached_ = false;
+    if (attached())
+        machine_.control_store().Remove();
+}
+
+uint32_t
+AtumTracer::OnMemAccess(const MemAccess& access)
+{
+    return Append(trace::FromMemAccess(access));
+}
+
+uint32_t
+AtumTracer::OnContextSwitch(uint16_t pid, uint32_t pcb_pa)
+{
+    return Append(trace::MakeCtxSwitch(pid, pcb_pa));
+}
+
+uint32_t
+AtumTracer::OnTlbMiss(uint32_t vaddr, bool kernel)
+{
+    return Append(trace::MakeTlbMiss(vaddr, kernel));
+}
+
+uint32_t
+AtumTracer::OnException(uint8_t vector)
+{
+    return Append(trace::MakeException(vector));
+}
+
+uint32_t
+AtumTracer::OnDecode(uint32_t pc, uint8_t opcode, bool kernel)
+{
+    if (!config_.record_opcodes)
+        return 0;
+    return Append(trace::MakeOpcode(pc, opcode, kernel));
 }
 
 uint32_t
@@ -158,7 +146,7 @@ AtumTracer::Drain()
         return 0;
     }
 
-    uint32_t pause = config_.drain_pause_ucycles;
+    uint32_t pause = kDrainPauseUcycles;
     uint32_t delivered = 0;
     ATUM_SPAN_NAMED(drain_span, "tracer", "drain");
     drain_span.set_arg("records", total);
@@ -167,12 +155,12 @@ AtumTracer::Drain()
     util::Status status = DeliverRange(&delivered, total);
     for (uint32_t retry = 0;
          !status.ok() && status.code() != util::StatusCode::kNoSpace &&
-         retry < config_.drain_max_retries;
+         retry < kDrainMaxRetries;
          ++retry) {
         // Bounded backoff: the freeze lengthens 1x, 2x, 4x... while the
         // host-side sink sorts itself out. ENOSPC skips this: a full
         // disk will not recover within a freeze, so degrade immediately.
-        pause += config_.drain_retry_ucycles << retry;
+        pause += kDrainRetryUcycles << retry;
         ++drain_retries_;
         status = DeliverRange(&delivered, total);
     }
@@ -201,7 +189,7 @@ AtumTracer::Drain()
         w.BeginObject();
         w.KeyValue("event", "trace-drain-degrade");
         w.KeyValue("episode", static_cast<uint64_t>(loss_events_));
-        w.KeyValue("retries", static_cast<uint64_t>(config_.drain_max_retries));
+        w.KeyValue("retries", static_cast<uint64_t>(kDrainMaxRetries));
         w.KeyValue("delivered", static_cast<uint64_t>(delivered));
         w.KeyValue("lost", static_cast<uint64_t>(total - delivered));
         w.KeyValue("error", status.ToString());
@@ -256,7 +244,7 @@ AtumTracer::Save(util::StateWriter& w) const
     w.U32(buf_base_);
     w.U32(buf_bytes_);
     w.U32(head_);
-    w.Bool(attached_);
+    w.Bool(attached());
     w.U64(records_);
     w.U64(buffer_fills_);
     w.U64(overhead_ucycles_);

@@ -27,10 +27,28 @@
 #include "obs/metrics.h"
 #include "trace/record.h"
 #include "trace/sink.h"
+#include "ucode/control_store.h"
 #include "util/serialize.h"
 #include "util/status.h"
 
 namespace atum::core {
+
+// -- drain failure policy ------------------------------------------------
+// A refusing sink (full disk, dead pipe) must never abort the simulated
+// machine: the drain is retried with a bounded, doubling pause, and if
+// the sink still refuses the tracer degrades to counting-only capture —
+// records are tallied as lost, and a kLoss marker is emitted at the next
+// successful append so consumers can resynchronize around the gap
+// (HMTT-style). A kNoSpace failure skips the retries entirely: a full
+// disk does not empty itself in a few hundred milliseconds, so the
+// machine degrades immediately instead of stalling in pointless backoff.
+/** Micro-cycles charged per buffer-full pause/extraction. */
+inline constexpr uint32_t kDrainPauseUcycles = 100000;
+/** Retries per failed drain before degrading. */
+inline constexpr uint32_t kDrainMaxRetries = 3;
+/** Micro-cycles charged for the first retry pause; doubles per retry
+ *  (bounded backoff), on top of the normal drain pause. */
+inline constexpr uint32_t kDrainRetryUcycles = 50000;
 
 /** Tracer configuration. */
 struct AtumConfig {
@@ -42,34 +60,13 @@ struct AtumConfig {
      *  of magnitude, the regime the paper reports for the 8200 (~20x);
      *  T2 sweeps this cost. */
     uint32_t cost_per_record = 64;
-    /** Micro-cycles charged per buffer-full pause/extraction. */
-    uint32_t drain_pause_ucycles = 100000;
-    bool record_ifetch = true;
-    bool record_pte = true;
-    bool record_tlb_miss = true;
-    bool record_exceptions = true;
     /** Record a kOpcode marker per retired instruction (off by default:
      *  it enlarges traces; enable for opcode-frequency studies, T6). */
     bool record_opcodes = false;
-
-    // -- drain failure policy ----------------------------------------------
-    // A refusing sink (full disk, dead pipe) must never abort the
-    // simulated machine: the drain is retried with a bounded, doubling
-    // pause, and if the sink still refuses the tracer degrades to
-    // counting-only capture — records are tallied as lost, and a kLoss
-    // marker is emitted at the next successful append so consumers can
-    // resynchronize around the gap (HMTT-style). A kNoSpace failure
-    // skips the retries entirely: a full disk does not empty itself in
-    // a few hundred milliseconds, so the machine degrades immediately
-    // instead of stalling in pointless backoff.
-    /** Retries per failed drain before degrading. */
-    uint32_t drain_max_retries = 3;
-    /** Micro-cycles charged for the first retry pause; doubles per retry
-     *  (bounded backoff), on top of the normal drain pause. */
-    uint32_t drain_retry_ucycles = 50000;
 };
 
-class AtumTracer
+/** The ATUM microcode patch: it records at every splice point. */
+class AtumTracer : public ucode::Patch
 {
   public:
     /**
@@ -81,19 +78,23 @@ class AtumTracer
     AtumTracer(cpu::Machine& machine, trace::TraceSink& sink,
                const AtumConfig& config = {});
 
-    /** Detaches patches and releases the reservation. */
-    ~AtumTracer();
+    /** Detaches the patch and releases the reservation. */
+    ~AtumTracer() override;
 
     AtumTracer(const AtumTracer&) = delete;
     AtumTracer& operator=(const AtumTracer&) = delete;
 
-    /** Installs the microcode patches; tracing starts immediately. */
+    /** Installs the tracer in the control store; tracing starts
+     *  immediately. Fatal when a patch is already installed. */
     void Attach();
 
-    /** Removes the patches (the buffer stays reserved until destruction). */
+    /** Removes the patch (the buffer stays reserved until destruction). */
     void Detach();
 
-    bool attached() const { return attached_; }
+    bool attached() const
+    {
+        return machine_.control_store().installed() == this;
+    }
     const AtumConfig& config() const { return config_; }
 
     /**
@@ -168,6 +169,13 @@ class AtumTracer
     }
 
   private:
+    // -- the patch micro-routines (ucode::Patch) ---------------------------
+    uint32_t OnMemAccess(const ucode::MemAccess& access) override;
+    uint32_t OnContextSwitch(uint16_t pid, uint32_t pcb_pa) override;
+    uint32_t OnTlbMiss(uint32_t vaddr, bool kernel) override;
+    uint32_t OnException(uint8_t vector) override;
+    uint32_t OnDecode(uint32_t pc, uint8_t opcode, bool kernel) override;
+
     uint32_t Append(const trace::Record& record);
     /** Empties the buffer (deliver or count-as-lost); returns the
      *  micro-cycle pause this drain charged. */
@@ -181,7 +189,6 @@ class AtumTracer
     uint32_t buf_base_;
     uint32_t buf_bytes_;
     uint32_t head_ = 0;
-    bool attached_ = false;
     uint64_t records_ = 0;
     uint64_t buffer_fills_ = 0;
     uint64_t overhead_ucycles_ = 0;

@@ -60,6 +60,11 @@ Get64(const uint8_t* p)
 
 // -- meta section payload ---------------------------------------------------
 
+/** Meta slots for the ifetch/pte/tlb-miss/exception record filters. Every
+ *  record type is always captured, so each holds 1; the slots stay so the
+ *  version 2 layout is unchanged. */
+constexpr int kRecordFilterSlots = 4;
+
 void
 SerializeMeta(const CheckpointMeta& meta, util::StateWriter& w)
 {
@@ -68,17 +73,17 @@ SerializeMeta(const CheckpointMeta& meta, util::StateWriter& w)
     w.U32(static_cast<uint32_t>(meta.machine_config.tlb_ways));
     w.U32(meta.machine_config.timer_reload);
 
+    // Slots this build fixes (drain policy, record filters) carry their
+    // constant values; DeserializeMeta refuses any other.
     const AtumConfig& t = meta.tracer_config;
     w.U32(t.buffer_bytes);
     w.U32(t.cost_per_record);
-    w.U32(t.drain_pause_ucycles);
-    w.Bool(t.record_ifetch);
-    w.Bool(t.record_pte);
-    w.Bool(t.record_tlb_miss);
-    w.Bool(t.record_exceptions);
+    w.U32(kDrainPauseUcycles);
+    for (int filter = 0; filter < kRecordFilterSlots; ++filter)
+        w.Bool(true);
     w.Bool(t.record_opcodes);
-    w.U32(t.drain_max_retries);
-    w.U32(t.drain_retry_ucycles);
+    w.U32(kDrainMaxRetries);
+    w.U32(kDrainRetryUcycles);
 
     w.U64(meta.sequence);
     w.U64(meta.instructions);
@@ -99,14 +104,12 @@ DeserializeMeta(const std::vector<uint8_t>& bytes, CheckpointMeta* meta)
     AtumConfig& t = meta->tracer_config;
     t.buffer_bytes = r.U32();
     t.cost_per_record = r.U32();
-    t.drain_pause_ucycles = r.U32();
-    t.record_ifetch = r.Bool();
-    t.record_pte = r.Bool();
-    t.record_tlb_miss = r.Bool();
-    t.record_exceptions = r.Bool();
+    bool fixed_slots_match = r.U32() == kDrainPauseUcycles;
+    for (int filter = 0; filter < kRecordFilterSlots; ++filter)
+        fixed_slots_match &= r.U8() == 1;
     t.record_opcodes = r.Bool();
-    t.drain_max_retries = r.U32();
-    t.drain_retry_ucycles = r.U32();
+    fixed_slots_match &= r.U32() == kDrainMaxRetries;
+    fixed_slots_match &= r.U32() == kDrainRetryUcycles;
 
     meta->sequence = r.U64();
     meta->instructions = r.U64();
@@ -118,6 +121,10 @@ DeserializeMeta(const std::vector<uint8_t>& bytes, CheckpointMeta* meta)
     if (!r.AtEnd())
         return util::DataLoss("checkpoint meta section has ", r.remaining(),
                               " trailing bytes");
+    if (!fixed_slots_match)
+        return util::DataLoss(
+            "checkpoint tracer config has a drain policy or record filter "
+            "this build cannot continue byte for byte");
     return util::OkStatus();
 }
 

@@ -9,13 +9,12 @@
  * user program: they saw no kernel references, no other processes, no
  * page-table traffic, and no interrupt activity. This tracer reproduces
  * that methodology on the same machine runs so full-system vs user-only
- * comparisons (experiments F1/F4/F5/T4) are apples-to-apples: it hooks
+ * comparisons (experiments F1/F4/F5/T4) are apples-to-apples: it patches
  * the same splice points but keeps only user-mode references of one
  * traced process and writes them straight to the sink.
  *
- * By default it models an *idealized* probe (zero perturbation). A
- * per-record cost can be configured to model the heavy slowdowns of
- * trap-based software tracing.
+ * It models an *idealized* probe: zero perturbation, no micro-cycles
+ * charged.
  */
 
 #include <cstdint>
@@ -23,33 +22,30 @@
 #include "cpu/machine.h"
 #include "trace/record.h"
 #include "trace/sink.h"
+#include "ucode/control_store.h"
 
 namespace atum::core {
 
-/** Baseline tracer configuration. */
-struct UserTracerConfig {
-    /** Process to trace; records are kept only while it is running. */
-    uint16_t target_pid = 1;
-    /** Keep instruction-stream references. */
-    bool record_ifetch = true;
-    /** Perturbation cost per record (0 = idealized probe). */
-    uint32_t cost_per_record = 0;
-};
-
-class UserOnlyTracer
+class UserOnlyTracer : public ucode::Patch
 {
   public:
-    /** Both references must outlive the tracer. */
+    /** Records only while process `target_pid` runs in user mode. Both
+     *  references must outlive the tracer. */
     UserOnlyTracer(cpu::Machine& machine, trace::TraceSink& sink,
-                   const UserTracerConfig& config = {});
-    ~UserOnlyTracer();
+                   uint16_t target_pid = 1);
+    ~UserOnlyTracer() override;
 
     UserOnlyTracer(const UserOnlyTracer&) = delete;
     UserOnlyTracer& operator=(const UserOnlyTracer&) = delete;
 
+    /** Installs the probe in the control store (Fatal when a patch is
+     *  already installed). */
     void Attach();
     void Detach();
-    bool attached() const { return attached_; }
+    bool attached() const
+    {
+        return machine_.control_store().installed() == this;
+    }
 
     uint64_t records() const { return records_; }
     /** References it observed but discarded (kernel, other pids, PTE). */
@@ -58,10 +54,12 @@ class UserOnlyTracer
     uint64_t lost_records() const { return lost_records_; }
 
   private:
+    uint32_t OnMemAccess(const ucode::MemAccess& access) override;
+    uint32_t OnContextSwitch(uint16_t pid, uint32_t pcb_pa) override;
+
     cpu::Machine& machine_;
     trace::TraceSink& sink_;
-    UserTracerConfig config_;
-    bool attached_ = false;
+    uint16_t target_pid_;
     uint16_t current_pid_ = 0;
     uint64_t records_ = 0;
     uint64_t suppressed_ = 0;

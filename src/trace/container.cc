@@ -70,6 +70,16 @@ constexpr int kMaxInterrupts = 100;
  */
 constexpr size_t kScanReadBytes = 64 << 10;
 
+/** True when a chunk header with a clean CRC starts at `pos`. */
+bool
+ChunkHeaderIntact(std::span<const uint8_t> b, size_t pos)
+{
+    return pos <= b.size() && b.size() - pos >= kAtf2ChunkHeaderBytes &&
+           Get32(&b[pos]) == kAtf2ChunkMagic &&
+           Get32(&b[pos + 12]) == util::Crc32c(&b[pos], 12) &&
+           Get32(&b[pos + 4]) <= kAtf2MaxChunkRecords;
+}
+
 /** First offset >= `from` holding a chunk or footer marker, or kNpos. */
 size_t
 FindMarker(std::span<const uint8_t> b, size_t from)
@@ -387,8 +397,10 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
         prefix_intact = false;
     };
 
-    if (b.size() < sizeof kAtf2Magic ||
-        std::memcmp(b.data(), kAtf2Magic, sizeof kAtf2Magic) != 0) {
+    const bool magic_ok =
+        b.size() >= sizeof kAtf2Magic &&
+        std::memcmp(b.data(), kAtf2Magic, sizeof kAtf2Magic) == 0;
+    if (!magic_ok && !ChunkHeaderIntact(b, kAtf2HeaderBytes)) {
         issue(0, b.empty() ? "empty file" : "unknown magic");
         return report;
     }
@@ -397,7 +409,12 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
         issue(b.size(), "file ends inside the container header");
         return report;
     }
-    if (Get32(&b[28]) != util::Crc32c(b.data(), 28)) {
+    const bool header_ok = Get32(&b[28]) == util::Crc32c(b.data(), 28);
+    if (!magic_ok) {
+        // A flipped magic byte in front of an intact chunk is a damaged
+        // header, not a foreign file: chunks self-describe, keep going.
+        issue(0, "unknown magic, but a chunk follows; header damaged");
+    } else if (!header_ok) {
         // Header fields are untrusted, but chunks self-describe: keep going.
         issue(0, "container header CRC mismatch");
     } else {
@@ -413,6 +430,28 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
             return report;
         }
     }
+
+    // Chunk capacity bounds the records a skipped span can hide. Every
+    // chunk but the last is full, so without a trusted header the fullest
+    // intact chunk seen so far stands in (never above the real capacity).
+    const uint32_t header_capacity =
+        magic_ok && header_ok ? Get32(&b[12]) : 0;
+    uint32_t fullest_chunk = 0;
+    // A skipped span is damage: one bad chunk when it is no longer than a
+    // full chunk, else as many chunks as skipped bytes / 8 records fill.
+    auto count_skipped = [&](size_t skipped) {
+        uint32_t capacity = header_capacity;
+        if (capacity == 0 || capacity > kAtf2MaxChunkRecords)
+            capacity = std::max(fullest_chunk, 1u);
+        if (skipped <= kAtf2ChunkHeaderBytes +
+                           static_cast<size_t>(capacity) * kRecordBytes) {
+            ++report.chunks_bad;
+            return;
+        }
+        const size_t records = skipped / kRecordBytes;
+        report.chunks_bad +=
+            static_cast<uint32_t>((records + capacity - 1) / capacity);
+    };
 
     // Every record takes 8 file bytes, so this is an upper bound.
     if (out != nullptr)
@@ -459,10 +498,10 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
                 issue(pos, "file ends inside a chunk header");
                 break;
             }
-            if (Get32(&b[pos + 12]) != util::Crc32c(&b[pos], 12) ||
-                Get32(&b[pos + 4]) > kAtf2MaxChunkRecords) {
+            if (!ChunkHeaderIntact(b, pos)) {
                 issue(pos, "chunk header CRC mismatch");
                 const size_t next = FindMarker(b, pos + 1);
+                count_skipped((next == kNpos ? b.size() : next) - pos);
                 if (next == kNpos)
                     break;
                 pos = next;
@@ -503,6 +542,7 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
             }
             if (good) {
                 ++report.chunks_ok;
+                fullest_chunk = std::max(fullest_chunk, count);
                 report.records_salvaged += count;
                 if (prefix_intact)
                     report.valid_prefix_records = report.records_salvaged;
@@ -519,10 +559,12 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
             issue(pos, "lost framing; no further chunk markers (" +
                            std::to_string(b.size() - pos) +
                            " bytes skipped)");
+            count_skipped(b.size() - pos);
             break;
         }
         issue(pos, "lost framing; resynchronized after " +
                        std::to_string(next - pos) + " bytes");
+        count_skipped(next - pos);
         pos = next;
     }
     return report;

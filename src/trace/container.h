@@ -293,6 +293,7 @@ struct ScanReport {
     bool sealed = false;      ///< valid ATF2 footer present
     uint64_t file_bytes = 0;
     uint32_t chunks_ok = 0;
+    /** Chunks lost to damage, skipped spans included (see ScanTrace). */
     uint32_t chunks_bad = 0;
     uint64_t records_salvaged = 0;
     /** Footer's record total; meaningful only when `sealed`. */

@@ -9,85 +9,97 @@
  * what made ATUM possible: patch micro-routines could be spliced in at the
  * micro-instructions that perform memory references and context switches.
  * This class models exactly those splice points. The executor calls
- * Fire*() at each point; an installed patch runs and returns how many extra
- * micro-cycles it consumed, which the machine adds to its cycle count
- * (tracing dilates execution, as on the real machine).
+ * Fire*() at each point; the installed Patch runs and returns how many
+ * extra micro-cycles it consumed, which the machine adds to its cycle
+ * count (tracing dilates execution, as on the real machine).
  *
- * At most one patch per point may be installed (the 8200's control store
- * had one continuation slot per patched micro-address).
+ * At most one patch may be installed (the 8200's control store had one
+ * continuation per patched micro-address, and a tracer patches all of its
+ * points together).
  */
 
 #include <cstdint>
-#include <functional>
 
 #include "ucode/micro_op.h"
 
 namespace atum::ucode {
 
-/** Named microcode splice points. */
-enum class PatchPoint : uint8_t {
-    kMemAccess,          ///< every architectural memory reference
-    kContextSwitch,      ///< LDPCTX committed a new process context
-    kTlbMiss,            ///< translation buffer miss (before PTE fetch)
-    kExceptionDispatch,  ///< exception/interrupt vectoring
-    kDecode,             ///< opcode dispatch (pc, opcode byte)
-    kNumPoints,
+/**
+ * A microcode patch: one micro-routine per splice point. Each returns the
+ * extra micro-cycles it consumed; an unoverridden point costs nothing.
+ */
+class Patch
+{
+  public:
+    Patch() = default;
+    Patch(const Patch&) = default;
+    Patch& operator=(const Patch&) = default;
+    virtual ~Patch() = default;
+
+    /** Every architectural memory reference. */
+    virtual uint32_t OnMemAccess(const MemAccess&) { return 0; }
+    /** LDPCTX committed a new process context: pid and its PCB address. */
+    virtual uint32_t OnContextSwitch(uint16_t /*pid*/, uint32_t /*pcb_pa*/)
+    {
+        return 0;
+    }
+    /** Translation buffer miss (before the PTE fetch). */
+    virtual uint32_t OnTlbMiss(uint32_t /*vaddr*/, bool /*kernel*/)
+    {
+        return 0;
+    }
+    /** Exception/interrupt vectoring: the SCB vector index. */
+    virtual uint32_t OnException(uint8_t /*vector*/) { return 0; }
+    /** Opcode dispatch: instruction address and opcode byte. */
+    virtual uint32_t OnDecode(uint32_t /*pc*/, uint8_t /*opcode*/,
+                              bool /*kernel*/)
+    {
+        return 0;
+    }
 };
 
 class ControlStore
 {
   public:
-    /** Patch body for kMemAccess; returns extra micro-cycles consumed. */
-    using MemAccessHook = std::function<uint32_t(const MemAccess&)>;
-    /** Patch body for kContextSwitch: new pid and its PCB physical addr. */
-    using ContextSwitchHook =
-        std::function<uint32_t(uint16_t pid, uint32_t pcb_pa)>;
-    /** Patch body for kTlbMiss: faulting virtual address, mode. */
-    using TlbMissHook = std::function<uint32_t(uint32_t vaddr, bool kernel)>;
-    /** Patch body for kExceptionDispatch: SCB vector index. */
-    using ExceptionHook = std::function<uint32_t(uint8_t vector)>;
-    /** Patch body for kDecode: instruction address and opcode byte. */
-    using DecodeHook =
-        std::function<uint32_t(uint32_t pc, uint8_t opcode, bool kernel)>;
-
     ControlStore() = default;
     ControlStore(const ControlStore&) = delete;
     ControlStore& operator=(const ControlStore&) = delete;
 
-    /** Installs a patch; Fatal if the point is already patched. */
-    void PatchMemAccess(MemAccessHook hook);
-    void PatchContextSwitch(ContextSwitchHook hook);
-    void PatchTlbMiss(TlbMissHook hook);
-    void PatchExceptionDispatch(ExceptionHook hook);
-    void PatchDecode(DecodeHook hook);
-
-    /** Removes the patch at `point` (no-op when absent). */
-    void Unpatch(PatchPoint point);
-    /** Removes all patches. */
-    void UnpatchAll();
-
-    bool IsPatched(PatchPoint point) const;
+    /** Splices `patch` in; Fatal if a patch is already installed. The
+     *  patch must outlive its installation. */
+    void Install(Patch& patch);
+    /** Removes the installed patch (no-op when none). */
+    void Remove() { patch_ = nullptr; }
+    /** The installed patch, or null. */
+    const Patch* installed() const { return patch_; }
 
     /**
      * Splice-point entries, called by the executor. Each returns the extra
      * micro-cycles consumed by the patch (0 when unpatched).
      */
-    uint32_t FireMemAccess(const MemAccess& access);
-    uint32_t FireContextSwitch(uint16_t pid, uint32_t pcb_pa);
-    uint32_t FireTlbMiss(uint32_t vaddr, bool kernel);
-    uint32_t FireExceptionDispatch(uint8_t vector);
-    uint32_t FireDecode(uint32_t pc, uint8_t opcode, bool kernel);
-
-    /** Number of times each splice point fired (patched or not). */
-    uint64_t FireCount(PatchPoint point) const;
+    uint32_t FireMemAccess(const MemAccess& access)
+    {
+        return patch_ ? patch_->OnMemAccess(access) : 0;
+    }
+    uint32_t FireContextSwitch(uint16_t pid, uint32_t pcb_pa)
+    {
+        return patch_ ? patch_->OnContextSwitch(pid, pcb_pa) : 0;
+    }
+    uint32_t FireTlbMiss(uint32_t vaddr, bool kernel)
+    {
+        return patch_ ? patch_->OnTlbMiss(vaddr, kernel) : 0;
+    }
+    uint32_t FireExceptionDispatch(uint8_t vector)
+    {
+        return patch_ ? patch_->OnException(vector) : 0;
+    }
+    uint32_t FireDecode(uint32_t pc, uint8_t opcode, bool kernel)
+    {
+        return patch_ ? patch_->OnDecode(pc, opcode, kernel) : 0;
+    }
 
   private:
-    MemAccessHook mem_hook_;
-    ContextSwitchHook csw_hook_;
-    TlbMissHook tlb_hook_;
-    ExceptionHook exc_hook_;
-    DecodeHook decode_hook_;
-    uint64_t fire_counts_[static_cast<size_t>(PatchPoint::kNumPoints)] = {};
+    Patch* patch_ = nullptr;
 };
 
 }  // namespace atum::ucode

@@ -21,6 +21,7 @@
 #include "kernel/boot.h"
 #include "trace/container.h"
 #include "trace/sink.h"
+#include "util/crc32.h"
 #include "util/serialize.h"
 #include "workloads/workloads.h"
 
@@ -475,6 +476,63 @@ TEST_F(CheckpointCorruption, GeometryMismatchIsRejected)
     tiny.buffer_bytes = 8u << 10;
     AtumTracer wrong_tracer(right, sink, tiny);
     EXPECT_FALSE(ckpt->RestoreTracer(wrong_tracer).ok());
+}
+
+TEST_F(CheckpointCorruption, NonConstantTracerSlotIsRejected)
+{
+    // The meta keeps v2's drain-policy and record-filter slots at the
+    // values this build fixes. A checkpoint whose slot says otherwise
+    // (CRCs intact) came from a capture this build cannot continue byte
+    // for byte, so it must not load.
+    constexpr size_t kMetaHeader = core::kCheckpointHeaderBytes;
+    constexpr size_t kMetaPayload =
+        kMetaHeader + core::kCheckpointSectionHeaderBytes;
+    const uint64_t payload_bytes = [&] {
+        uint64_t v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = v << 8 | bytes_[kMetaHeader + 8 + i];
+        return v;
+    }();
+    auto put32 = [](std::vector<uint8_t>& b, size_t at, uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            b[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    };
+    // Payload offsets: four machine u32s, buffer_bytes, cost_per_record,
+    // then the fixed slots (record_opcodes sits at 32).
+    struct Slot {
+        size_t offset;
+        uint32_t value;
+        bool is_u32;
+    };
+    const Slot slots[] = {
+        {24, 1, true},                    // drain pause ucycles
+        {28, 0, false}, {29, 0, false},   // ifetch, pte filters
+        {30, 0, false}, {31, 2, false},   // tlb-miss, exception filters
+        {33, 0, true},                    // drain max retries
+        {37, 7, true},                    // drain retry ucycles
+    };
+    auto reseal = [&](std::vector<uint8_t>& b) {
+        put32(b, kMetaHeader + 16,
+              util::Crc32c(&b[kMetaPayload], payload_bytes));
+        put32(b, kMetaHeader + 20, util::Crc32c(&b[kMetaHeader], 20));
+    };
+    std::vector<uint8_t> resealed = bytes_;
+    reseal(resealed);
+    ASSERT_TRUE(ReadStatus(resealed).ok());  // the re-CRC alone is harmless
+
+    for (const Slot& slot : slots) {
+        std::vector<uint8_t> bad = bytes_;
+        if (slot.is_u32)
+            put32(bad, kMetaPayload + slot.offset, slot.value);
+        else
+            bad[kMetaPayload + slot.offset] = static_cast<uint8_t>(slot.value);
+        reseal(bad);
+        const util::Status status = ReadStatus(bad);
+        EXPECT_EQ(status.code(), util::StatusCode::kDataLoss)
+            << "slot at " << slot.offset << ": " << status.ToString();
+        EXPECT_NE(status.message().find("byte for byte"), std::string::npos)
+            << status.ToString();
+    }
 }
 
 // ---------------------------------------------------------------------------

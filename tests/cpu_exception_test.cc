@@ -366,19 +366,23 @@ TEST_F(ExceptionTest, ContextSwitchPatchFiresOnLdpctx)
     code.Emit(Opcode::kRei);
     Load(code.Finish());
 
-    uint16_t seen_pid = 0;
-    uint32_t seen_pcb = 0;
-    m().control_store().PatchContextSwitch(
-        [&](uint16_t pid, uint32_t pcb_pa) -> uint32_t {
+    struct SwitchWatcher : ucode::Patch {
+        uint16_t seen_pid = 0;
+        uint32_t seen_pcb = 0;
+        uint32_t OnContextSwitch(uint16_t pid, uint32_t pcb_pa) override
+        {
             seen_pid = pid;
             seen_pcb = pcb_pa;
             return 0;
-        });
+        }
+    } patch;
+    m().control_store().Install(patch);
 
     m().set_pc(0x1000);
     ASSERT_EQ(m().Run(1000).reason, Machine::StopReason::kHalted);
-    EXPECT_EQ(seen_pid, 3u);
-    EXPECT_EQ(seen_pcb, pcb);
+    m().control_store().Remove();
+    EXPECT_EQ(patch.seen_pid, 3u);
+    EXPECT_EQ(patch.seen_pcb, pcb);
 }
 
 TEST_F(ExceptionTest, IprConsoleAndPidRoundTrip)

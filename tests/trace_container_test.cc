@@ -184,10 +184,67 @@ TEST(Container, ChunkHeaderFlipResynchronizesAtNextMarker)
     std::vector<Record> back;
     const ScanReport report = Scan(bytes, &back);
     EXPECT_FALSE(report.intact());
+    EXPECT_EQ(report.chunks_bad, 1u);  // the skipped chunk is damage
     EXPECT_EQ(report.records_salvaged, 6u);  // chunks 0 and 2
     EXPECT_EQ(report.valid_prefix_records, 4u);
     ASSERT_EQ(back.size(), 6u);
     EXPECT_EQ(back[4], TestRecord(8));
+}
+
+TEST(Container, MarkerFlipCountsTheSkippedChunk)
+{
+    std::vector<uint8_t> bytes = SealedContainer(10);
+    bytes[kChunk1] ^= 0x01;  // chunk 1's CHNK marker: framing is lost
+
+    std::vector<Record> back;
+    const ScanReport report = Scan(bytes, &back);
+    EXPECT_FALSE(report.intact());
+    EXPECT_EQ(report.chunks_ok, 2u);
+    EXPECT_EQ(report.chunks_bad, 1u);
+    EXPECT_EQ(report.records_salvaged, 6u);
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].error,
+              "lost framing; resynchronized after 48 bytes");
+    EXPECT_EQ(back[4], TestRecord(8));
+}
+
+TEST(Container, LongGapIsBoundedBySkippedBytes)
+{
+    std::vector<uint8_t> bytes = SealedContainer(10);
+    bytes[kChunk1] ^= 0x01;  // two markers in a row: one 80-byte gap
+    bytes[kChunk2] ^= 0x01;
+
+    // 80 bytes hold at most 10 records, three 4-record chunks; 6 records
+    // were really lost.
+    const ScanReport report = Scan(bytes);
+    EXPECT_EQ(report.chunks_ok, 1u);
+    EXPECT_EQ(report.chunks_bad, 3u);
+    EXPECT_EQ(report.records_salvaged, 4u);
+
+    // With the header's capacity untrusted, the full chunk 0 stands in.
+    bytes[9] ^= 0x01;
+    EXPECT_EQ(Scan(bytes).chunks_bad, 3u);
+}
+
+TEST(Container, MagicFlipBeforeIntactChunkIsADamagedHeader)
+{
+    std::vector<uint8_t> bytes = SealedContainer(10);
+    bytes[2] ^= 0x20;  // "ATF2" -> "ATf2"
+
+    std::vector<Record> back;
+    const ScanReport report = Scan(bytes, &back);
+    EXPECT_TRUE(report.recognized);
+    EXPECT_TRUE(report.sealed);
+    EXPECT_FALSE(report.intact());
+    EXPECT_EQ(report.chunks_bad, 0u);
+    EXPECT_EQ(report.records_salvaged, 10u);
+    EXPECT_EQ(back, TestRecords(10));
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].offset, 0u);
+
+    // Without an intact chunk at offset 32 it is some other file.
+    bytes[kChunk0 + 12] ^= 0x01;  // chunk 0's header CRC
+    EXPECT_FALSE(Scan(bytes).recognized);
 }
 
 TEST(Container, HeaderFlipStillSalvagesAllChunks)

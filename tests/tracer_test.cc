@@ -172,43 +172,20 @@ TEST(AtumTracer, DetachStopsRecording)
     EXPECT_EQ(sink.records().size(), at_detach);
 }
 
-TEST(AtumTracer, FilterConfigDropsRecordTypes)
-{
-    auto machine = SmallMachine();
-    trace::VectorSink sink;
-    AtumConfig config;
-    config.record_ifetch = false;
-    config.record_pte = false;
-    config.record_tlb_miss = false;
-    config.record_exceptions = false;
-    AtumTracer tracer(*machine, sink, config);
-    kernel::BootSystem(*machine, {TinyLoop(1000)});
-    RunTraced(*machine, tracer, 10'000'000);
-    ASSERT_GT(sink.records().size(), 0u);
-    for (const auto& r : sink.records()) {
-        EXPECT_NE(r.type, RecordType::kIFetch);
-        EXPECT_NE(r.type, RecordType::kPte);
-        EXPECT_NE(r.type, RecordType::kTlbMiss);
-        EXPECT_NE(r.type, RecordType::kException);
-    }
-}
-
 TEST(AtumTracerDeath, DoubleAttachIsFatal)
 {
     auto machine = SmallMachine();
     trace::VectorSink sink;
     AtumTracer tracer(*machine, sink);
     tracer.Attach();
-    EXPECT_DEATH(tracer.Attach(), "already attached");
+    EXPECT_DEATH(tracer.Attach(), "already patched");
 }
 
 TEST(UserOnlyTracer, SeesOnlyTargetUserReferences)
 {
     auto machine = SmallMachine();
     trace::VectorSink sink;
-    UserTracerConfig config;
-    config.target_pid = 1;
-    UserOnlyTracer tracer(*machine, sink, config);
+    UserOnlyTracer tracer(*machine, sink, /*target_pid=*/1);
     kernel::BootSystem(*machine, {TinyLoop(2000), TinyLoop(100)});
     const SessionResult result = RunBaseline(*machine, tracer, 10'000'000);
     ASSERT_TRUE(result.halted);

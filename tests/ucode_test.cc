@@ -23,110 +23,133 @@ TEST(MicroOp, MemoryOpsCostMoreThanAlu)
     EXPECT_GE(CostOf(MicroOpKind::kCtxLoad), CostOf(MicroOpKind::kDRead));
 }
 
-TEST(ControlStore, UnpatchedFiresReturnZero)
+/** Records what each splice point saw and charges a distinct cost. */
+struct RecordingPatch : Patch {
+    MemAccess access;
+    uint16_t pid = 0;
+    uint32_t pcb_pa = 0;
+    uint32_t tlb_vaddr = 0;
+    bool tlb_kernel = false;
+    uint8_t vector = 0;
+    uint32_t pc = 0;
+    uint8_t opcode = 0;
+    bool decode_kernel = false;
+
+    uint32_t OnMemAccess(const MemAccess& a) override
+    {
+        access = a;
+        return 1;
+    }
+    uint32_t OnContextSwitch(uint16_t p, uint32_t pa) override
+    {
+        pid = p;
+        pcb_pa = pa;
+        return 2;
+    }
+    uint32_t OnTlbMiss(uint32_t va, bool kernel) override
+    {
+        tlb_vaddr = va;
+        tlb_kernel = kernel;
+        return 3;
+    }
+    uint32_t OnException(uint8_t v) override
+    {
+        vector = v;
+        return 4;
+    }
+    uint32_t OnDecode(uint32_t p, uint8_t op, bool kernel) override
+    {
+        pc = p;
+        opcode = op;
+        decode_kernel = kernel;
+        return 5;
+    }
+};
+
+TEST(ControlStore, EmptyStoreFiresReturnZero)
 {
     ControlStore cs;
+    EXPECT_EQ(cs.installed(), nullptr);
     EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 0u);
     EXPECT_EQ(cs.FireContextSwitch(1, 0x100), 0u);
     EXPECT_EQ(cs.FireTlbMiss(0x200, false), 0u);
     EXPECT_EQ(cs.FireExceptionDispatch(3), 0u);
-    EXPECT_EQ(cs.FireCount(PatchPoint::kMemAccess), 1u);
-    EXPECT_EQ(cs.FireCount(PatchPoint::kContextSwitch), 1u);
+    EXPECT_EQ(cs.FireDecode(0x300, 0x10, true), 0u);
 }
 
-TEST(ControlStore, PatchReceivesAccessAndReturnsCost)
+TEST(ControlStore, DefaultSpliceMethodsCostNothing)
 {
     ControlStore cs;
-    MemAccess seen;
-    cs.PatchMemAccess([&](const MemAccess& a) -> uint32_t {
-        seen = a;
-        return 16;
-    });
+    Patch empty;
+    cs.Install(empty);
+    EXPECT_EQ(cs.installed(), &empty);
+    EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 0u);
+    EXPECT_EQ(cs.FireContextSwitch(1, 0x100), 0u);
+    EXPECT_EQ(cs.FireTlbMiss(0x200, false), 0u);
+    EXPECT_EQ(cs.FireExceptionDispatch(3), 0u);
+    EXPECT_EQ(cs.FireDecode(0x300, 0x10, true), 0u);
+}
+
+TEST(ControlStore, PatchReceivesArgumentsAndReturnsCost)
+{
+    ControlStore cs;
+    RecordingPatch patch;
+    cs.Install(patch);
     MemAccess access;
     access.vaddr = 0x1234;
     access.paddr = 0x5678;
     access.size = 4;
     access.kind = MemAccessKind::kWrite;
     access.kernel = true;
-    EXPECT_EQ(cs.FireMemAccess(access), 16u);
-    EXPECT_EQ(seen.vaddr, 0x1234u);
-    EXPECT_EQ(seen.paddr, 0x5678u);
-    EXPECT_EQ(seen.kind, MemAccessKind::kWrite);
-    EXPECT_TRUE(seen.kernel);
-}
+    EXPECT_EQ(cs.FireMemAccess(access), 1u);
+    EXPECT_EQ(patch.access.vaddr, 0x1234u);
+    EXPECT_EQ(patch.access.paddr, 0x5678u);
+    EXPECT_EQ(patch.access.size, 4u);
+    EXPECT_EQ(patch.access.kind, MemAccessKind::kWrite);
+    EXPECT_TRUE(patch.access.kernel);
 
-TEST(ControlStore, AllPointsPatchable)
-{
-    ControlStore cs;
-    cs.PatchMemAccess([](const MemAccess&) { return 1u; });
-    cs.PatchContextSwitch([](uint16_t, uint32_t) { return 2u; });
-    cs.PatchTlbMiss([](uint32_t, bool) { return 3u; });
-    cs.PatchExceptionDispatch([](uint8_t) { return 4u; });
-    EXPECT_TRUE(cs.IsPatched(PatchPoint::kMemAccess));
-    EXPECT_TRUE(cs.IsPatched(PatchPoint::kContextSwitch));
-    EXPECT_TRUE(cs.IsPatched(PatchPoint::kTlbMiss));
-    EXPECT_TRUE(cs.IsPatched(PatchPoint::kExceptionDispatch));
-    EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 1u);
-    EXPECT_EQ(cs.FireContextSwitch(0, 0), 2u);
-    EXPECT_EQ(cs.FireTlbMiss(0, true), 3u);
-    EXPECT_EQ(cs.FireExceptionDispatch(0), 4u);
+    EXPECT_EQ(cs.FireContextSwitch(7, 0x9000), 2u);
+    EXPECT_EQ(patch.pid, 7u);
+    EXPECT_EQ(patch.pcb_pa, 0x9000u);
+    EXPECT_EQ(cs.FireTlbMiss(0x2000, true), 3u);
+    EXPECT_EQ(patch.tlb_vaddr, 0x2000u);
+    EXPECT_TRUE(patch.tlb_kernel);
+    EXPECT_EQ(cs.FireExceptionDispatch(9), 4u);
+    EXPECT_EQ(patch.vector, 9u);
 }
-
-TEST(ControlStore, UnpatchRemovesHook)
-{
-    ControlStore cs;
-    cs.PatchMemAccess([](const MemAccess&) { return 9u; });
-    cs.Unpatch(PatchPoint::kMemAccess);
-    EXPECT_FALSE(cs.IsPatched(PatchPoint::kMemAccess));
-    EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 0u);
-}
-
-TEST(ControlStore, UnpatchAll)
-{
-    ControlStore cs;
-    cs.PatchMemAccess([](const MemAccess&) { return 1u; });
-    cs.PatchTlbMiss([](uint32_t, bool) { return 1u; });
-    cs.UnpatchAll();
-    EXPECT_FALSE(cs.IsPatched(PatchPoint::kMemAccess));
-    EXPECT_FALSE(cs.IsPatched(PatchPoint::kTlbMiss));
-}
-
-TEST(ControlStoreDeath, DoublePatchIsFatal)
-{
-    ControlStore cs;
-    cs.PatchMemAccess([](const MemAccess&) { return 0u; });
-    EXPECT_DEATH(cs.PatchMemAccess([](const MemAccess&) { return 0u; }),
-                 "already patched");
-}
-
-TEST(ControlStore, FireCountsAccumulate)
-{
-    ControlStore cs;
-    for (int i = 0; i < 5; ++i)
-        cs.FireMemAccess(MemAccess{});
-    EXPECT_EQ(cs.FireCount(PatchPoint::kMemAccess), 5u);
-    EXPECT_EQ(cs.FireCount(PatchPoint::kTlbMiss), 0u);
-}
-
 
 TEST(ControlStore, DecodePatchReceivesOpcodeAndPc)
 {
     ControlStore cs;
-    uint32_t seen_pc = 0;
-    uint8_t seen_op = 0;
-    bool seen_kernel = false;
-    cs.PatchDecode([&](uint32_t pc, uint8_t op, bool kernel) -> uint32_t {
-        seen_pc = pc;
-        seen_op = op;
-        seen_kernel = kernel;
-        return 5;
-    });
+    RecordingPatch patch;
+    cs.Install(patch);
     EXPECT_EQ(cs.FireDecode(0x1234, 0x10, true), 5u);
-    EXPECT_EQ(seen_pc, 0x1234u);
-    EXPECT_EQ(seen_op, 0x10);
-    EXPECT_TRUE(seen_kernel);
-    cs.Unpatch(PatchPoint::kDecode);
+    EXPECT_EQ(patch.pc, 0x1234u);
+    EXPECT_EQ(patch.opcode, 0x10);
+    EXPECT_TRUE(patch.decode_kernel);
+}
+
+TEST(ControlStore, RemoveUnsplicesThePatch)
+{
+    ControlStore cs;
+    RecordingPatch patch;
+    cs.Install(patch);
+    cs.Remove();
+    EXPECT_EQ(cs.installed(), nullptr);
+    EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 0u);
     EXPECT_EQ(cs.FireDecode(0, 0, false), 0u);
+    cs.Remove();  // no-op when nothing is installed
+    cs.Install(patch);  // the freed slot takes a patch again
+    EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 1u);
+}
+
+TEST(ControlStoreDeath, SecondInstallIsFatal)
+{
+    ControlStore cs;
+    RecordingPatch first;
+    RecordingPatch second;
+    cs.Install(first);
+    EXPECT_DEATH(cs.Install(second), "already patched");
 }
 
 }  // namespace

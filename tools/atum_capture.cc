@@ -389,9 +389,8 @@ RunUserOnly(const Options& opts, const cpu::Machine::Config& config,
                      sink.status().ToString().c_str());
         return util::ExitCodeFor(sink.status());
     }
-    core::UserTracerConfig tracer_config;
-    tracer_config.target_pid = static_cast<uint16_t>(opts.user_only_pid);
-    core::UserOnlyTracer tracer(machine, **sink, tracer_config);
+    core::UserOnlyTracer tracer(machine, **sink,
+                                static_cast<uint16_t>(opts.user_only_pid));
     kernel::BootSystem(machine, programs, boot_options);
     const core::SessionResult result =
         core::RunBaseline(machine, tracer, opts.max_instructions);
