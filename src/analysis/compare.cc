@@ -1,6 +1,6 @@
 #include "analysis/compare.h"
 
-#include "trace/sink.h"
+#include "util/bitops.h"
 
 namespace atum::analysis {
 
@@ -20,48 +20,6 @@ SimulateCache(const std::vector<trace::Record>& records,
     return c.stats();
 }
 
-std::vector<SweepPoint>
-SweepCacheSize(const std::vector<trace::Record>& records,
-               const std::vector<uint32_t>& sizes, CacheConfig base,
-               const DriverOptions& options)
-{
-    std::vector<SweepPoint> out;
-    for (uint32_t size : sizes) {
-        base.size_bytes = size;
-        const auto stats = SimulateCache(records, base, options);
-        out.push_back({size, stats.MissRate(), stats.accesses});
-    }
-    return out;
-}
-
-std::vector<SweepPoint>
-SweepBlockSize(const std::vector<trace::Record>& records,
-               const std::vector<uint32_t>& blocks, CacheConfig base,
-               const DriverOptions& options)
-{
-    std::vector<SweepPoint> out;
-    for (uint32_t block : blocks) {
-        base.block_bytes = block;
-        const auto stats = SimulateCache(records, base, options);
-        out.push_back({block, stats.MissRate(), stats.accesses});
-    }
-    return out;
-}
-
-std::vector<SweepPoint>
-SweepAssociativity(const std::vector<trace::Record>& records,
-                   const std::vector<uint32_t>& assocs, CacheConfig base,
-                   const DriverOptions& options)
-{
-    std::vector<SweepPoint> out;
-    for (uint32_t assoc : assocs) {
-        base.assoc = assoc;
-        const auto stats = SimulateCache(records, base, options);
-        out.push_back({assoc, stats.MissRate(), stats.accesses});
-    }
-    return out;
-}
-
 SampledStats
 SetSampledMissRate(const std::vector<trace::Record>& records,
                    const CacheConfig& config, const DriverOptions& options,
@@ -70,27 +28,15 @@ SetSampledMissRate(const std::vector<trace::Record>& records,
     Cache c(config);
     const uint32_t sets = c.num_sets();
     const uint32_t sample_mask = (1u << sample_shift) - 1;
-    const unsigned block_shift = [&] {
-        unsigned s = 0;
-        while ((1u << s) < config.block_bytes)
-            ++s;
-        return s;
-    }();
+    const unsigned block_shift = Log2Floor(config.block_bytes);
 
-    uint16_t pid = 0;
+    cache::RecordFilter filter(options);
     SampledStats stats;
     for (const trace::Record& r : records) {
-        if (r.type == trace::RecordType::kCtxSwitch) {
-            pid = r.info;
-            if (options.flush_on_switch)
-                c.Flush();
-            continue;
-        }
-        if (!r.IsMemory() || r.type == trace::RecordType::kPte)
-            continue;
-        if (r.kernel() && !options.include_kernel)
-            continue;
-        if (r.type == trace::RecordType::kIFetch && !options.include_ifetch)
+        const cache::Selection selection = filter.Select(r);
+        if (selection == cache::Selection::kSwitch && options.flush_on_switch)
+            c.Flush();
+        if (selection != cache::Selection::kFed)
             continue;
         const uint32_t set = (r.addr >> block_shift) & (sets - 1);
         // Hash-select sets: alignment-free sampling (see header).
@@ -99,7 +45,7 @@ SetSampledMissRate(const std::vector<trace::Record>& records,
             continue;  // not a sampled set
         ++stats.sampled_accesses;
         if (!c.Access(r.addr, r.type == trace::RecordType::kWrite,
-                      r.kernel() ? 0 : pid)) {
+                      filter.TagPid(r))) {
             ++stats.sampled_misses;
         }
     }

@@ -61,6 +61,8 @@ struct CacheStats {
     uint64_t flushed_blocks = 0;
     uint64_t prefetch_fills = 0;  ///< blocks brought in by lookahead
 
+    bool operator==(const CacheStats&) const = default;
+
     double MissRate() const
     {
         return accesses == 0

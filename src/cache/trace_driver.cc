@@ -7,49 +7,60 @@ namespace atum::cache {
 using trace::Record;
 using trace::RecordType;
 
+RecordFilter::RecordFilter(const DriverOptions& options)
+    : only_pid_(options.only_pid)
+{
+    for (unsigned i = 0; i < 512; ++i) {
+        const auto type = static_cast<RecordType>(i >> 1);
+        const bool kernel = (i & 1) != 0;
+        Selection& s = table_[i];
+        if (type == RecordType::kCtxSwitch)
+            s = Selection::kSwitch;
+        else if (type != RecordType::kIFetch && type != RecordType::kRead &&
+                 type != RecordType::kWrite && type != RecordType::kPte)
+            s = Selection::kSkipped;
+        else if (type == RecordType::kPte && !options.include_pte)
+            s = Selection::kFiltered;
+        else if (kernel && !options.include_kernel)
+            s = Selection::kFiltered;
+        else if (type == RecordType::kIFetch && !options.include_ifetch)
+            s = Selection::kFiltered;
+        else
+            s = Selection::kFed;  // only_pid is tested per record
+    }
+}
+
 TraceCacheDriver::TraceCacheDriver(Cache& unified,
                                    const DriverOptions& options,
                                    Cache* icache)
-    : dcache_(unified), icache_(icache), options_(options)
+    : dcache_(unified),
+      icache_(icache),
+      flush_on_switch_(options.flush_on_switch),
+      filter_(options)
 {
 }
 
 void
 TraceCacheDriver::Feed(const Record& record)
 {
-    if (record.type == RecordType::kCtxSwitch) {
-        current_pid_ = record.info;
-        if (options_.flush_on_switch) {
+    switch (filter_.Select(record)) {
+      case Selection::kSwitch:
+        if (flush_on_switch_) {
             dcache_.Flush();
             if (icache_ != nullptr)
                 icache_->Flush();
         }
         return;
-    }
-    if (!record.IsMemory())
+      case Selection::kSkipped:
         return;
-
-    if (record.type == RecordType::kPte && !options_.include_pte) {
+      case Selection::kFiltered:
         ++filtered_;
         return;
-    }
-    if (record.kernel() && !options_.include_kernel) {
-        ++filtered_;
-        return;
-    }
-    if (record.type == RecordType::kIFetch && !options_.include_ifetch) {
-        ++filtered_;
-        return;
-    }
-    if (options_.only_pid != 0 && !record.kernel() &&
-        current_pid_ != options_.only_pid) {
-        ++filtered_;
-        return;
+      case Selection::kFed:
+        break;
     }
 
-    // Kernel references tag as pid 0: the system region is shared, so a
-    // PID-tagged cache keeps one copy, as the 8200-era studies modelled.
-    const uint16_t pid = record.kernel() ? 0 : current_pid_;
+    const uint16_t pid = filter_.TagPid(record);
     const bool is_write = record.type == RecordType::kWrite;
     if (record.type == RecordType::kIFetch && icache_ != nullptr)
         icache_->Access(record.addr, false, pid);

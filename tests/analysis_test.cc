@@ -1,5 +1,5 @@
-// Unit tests for the analysis library: working sets, footprints, and the
-// cache sweep helpers.
+// Unit tests for the analysis library: working sets, footprints, and
+// cache miss-rate curves.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "analysis/stack_distance.h"
 #include "analysis/working_set.h"
 #include "mem/physical_memory.h"
+#include "replay/sweep.h"
 #include "trace/record.h"
 #include "util/rng.h"
 
@@ -27,6 +28,25 @@ Ref(uint32_t addr, bool kernel = false, RecordType type = RecordType::kRead)
     r.type = type;
     r.flags = MakeFlags(kernel, 4);
     return r;
+}
+
+/** Miss rates of `base` with one field set to each of `values`, from one
+ *  SweepRunner sweep. */
+std::vector<double>
+SweepMissRates(const std::vector<Record>& records, cache::CacheConfig base,
+               uint32_t cache::CacheConfig::*field,
+               const std::vector<uint32_t>& values)
+{
+    std::vector<replay::SweepConfig> jobs;
+    for (uint32_t v : values) {
+        base.*field = v;
+        jobs.push_back(replay::MakeCacheJob(base));
+    }
+    std::vector<double> rates;
+    for (const replay::SweepResult& r :
+         replay::SweepRunner(2).Run(records, jobs))
+        rates.push_back(r.MissRate());
+    return rates;
 }
 
 TEST(WorkingSet, SinglePageConverges)
@@ -130,14 +150,15 @@ TEST(Compare, SweepCacheSizeIsMonotoneForLoopingTrace)
         for (uint32_t a = 0; a < 8192; a += 16)
             records.push_back(Ref(a));
     cache::CacheConfig base{.block_bytes = 16, .assoc = 1};
-    const auto points =
-        SweepCacheSize(records, {1024, 4096, 16384}, base, {});
-    ASSERT_EQ(points.size(), 3u);
-    EXPECT_GE(points[0].miss_rate, points[1].miss_rate);
-    EXPECT_GE(points[1].miss_rate, points[2].miss_rate);
+    const auto rates = SweepMissRates(records, base,
+                                      &cache::CacheConfig::size_bytes,
+                                      {1024, 4096, 16384});
+    ASSERT_EQ(rates.size(), 3u);
+    EXPECT_GE(rates[0], rates[1]);
+    EXPECT_GE(rates[1], rates[2]);
     // Only cold misses remain once the footprint fits: 512 blocks out of
     // 25600 accesses = 0.02.
-    EXPECT_LE(points[2].miss_rate, 0.02 + 1e-9);
+    EXPECT_LE(rates[2], 0.02 + 1e-9);
 }
 
 TEST(Compare, SweepBlockSizeHelpsSequentialTrace)
@@ -146,10 +167,11 @@ TEST(Compare, SweepBlockSizeHelpsSequentialTrace)
     for (uint32_t a = 0; a < 65536; a += 4)
         records.push_back(Ref(a));
     cache::CacheConfig base{.size_bytes = 16384, .assoc = 1};
-    const auto points = SweepBlockSize(records, {4, 16, 64}, base, {});
+    const auto rates = SweepMissRates(
+        records, base, &cache::CacheConfig::block_bytes, {4, 16, 64});
     // Sequential scan: bigger blocks mean fewer misses.
-    EXPECT_GT(points[0].miss_rate, points[1].miss_rate);
-    EXPECT_GT(points[1].miss_rate, points[2].miss_rate);
+    EXPECT_GT(rates[0], rates[1]);
+    EXPECT_GT(rates[1], rates[2]);
 }
 
 TEST(Compare, SweepAssociativityFixesConflicts)
@@ -161,11 +183,11 @@ TEST(Compare, SweepAssociativityFixesConflicts)
         records.push_back(Ref(0x1000));
     }
     cache::CacheConfig base{.size_bytes = 4096, .block_bytes = 16};
-    const auto points = SweepAssociativity(records, {1, 2}, base, {});
-    EXPECT_GT(points[0].miss_rate, 0.9);
-    EXPECT_LT(points[1].miss_rate, 0.1);
+    const auto rates =
+        SweepMissRates(records, base, &cache::CacheConfig::assoc, {1, 2});
+    EXPECT_GT(rates[0], 0.9);
+    EXPECT_LT(rates[1], 0.1);
 }
-
 
 TEST(StackDistance, ColdMissesOnly)
 {

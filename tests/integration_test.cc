@@ -19,6 +19,7 @@
 #include "core/user_tracer.h"
 #include "cpu/machine.h"
 #include "kernel/boot.h"
+#include "replay/sweep.h"
 #include "tlbsim/tlb_sim.h"
 #include "trace/container.h"
 #include "trace/sink.h"
@@ -120,11 +121,15 @@ TEST(Integration, MissRateFallsWithCacheSize)
     CacheConfig base{.block_bytes = 16, .assoc = 1};
     DriverOptions opts;
     opts.flush_on_switch = true;
-    const auto points = analysis::SweepCacheSize(
-        MixTrace(), {2048, 8192, 32768, 131072}, base, opts);
+    std::vector<replay::SweepConfig> jobs;
+    for (uint32_t size : {2048u, 8192u, 32768u, 131072u}) {
+        base.size_bytes = size;
+        jobs.push_back(replay::MakeCacheJob(base, opts));
+    }
+    const auto points = replay::SweepRunner(2).Run(MixTrace(), jobs);
     for (size_t i = 1; i < points.size(); ++i)
-        EXPECT_LE(points[i].miss_rate, points[i - 1].miss_rate + 1e-9);
-    EXPECT_GT(points.front().miss_rate, points.back().miss_rate);
+        EXPECT_LE(points[i].MissRate(), points[i - 1].MissRate() + 1e-9);
+    EXPECT_GT(points.front().MissRate(), points.back().MissRate());
 }
 
 TEST(Integration, SystemReferencesEnlargeWorkingSet)

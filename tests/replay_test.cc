@@ -247,19 +247,24 @@ MixedConfigs()
 void
 ExpectIdentical(const SweepResult& a, const SweepResult& b, size_t i)
 {
-    EXPECT_EQ(a.cache_stats.accesses, b.cache_stats.accesses) << i;
-    EXPECT_EQ(a.cache_stats.misses, b.cache_stats.misses) << i;
-    EXPECT_EQ(a.cache_stats.writebacks, b.cache_stats.writebacks) << i;
+    EXPECT_EQ(a.kind, b.kind) << i;
+    EXPECT_EQ(a.label, b.label) << i;
+    EXPECT_EQ(a.status.code(), b.status.code()) << i;
+    EXPECT_EQ(a.cache_stats, b.cache_stats) << i;
     EXPECT_EQ(a.fed, b.fed) << i;
     EXPECT_EQ(a.filtered, b.filtered) << i;
-    EXPECT_EQ(a.l1d_stats.misses, b.l1d_stats.misses) << i;
-    EXPECT_EQ(a.l2_stats.misses, b.l2_stats.misses) << i;
+    EXPECT_EQ(a.l1i_stats, b.l1i_stats) << i;
+    EXPECT_EQ(a.l1d_stats, b.l1d_stats) << i;
+    EXPECT_EQ(a.l2_stats, b.l2_stats) << i;
+    EXPECT_EQ(a.hierarchy_accesses, b.hierarchy_accesses) << i;
     EXPECT_EQ(a.memory_accesses, b.memory_accesses) << i;
     EXPECT_EQ(a.tlb_stats.accesses, b.tlb_stats.accesses) << i;
     EXPECT_EQ(a.tlb_stats.misses, b.tlb_stats.misses) << i;
+    EXPECT_EQ(a.tlb_stats.flushes, b.tlb_stats.flushes) << i;
     // Miss rates are derived from integer counts: bit-identical, not
     // merely close.
     EXPECT_EQ(a.MissRate(), b.MissRate()) << i;
+    EXPECT_EQ(a.global_miss_rate, b.global_miss_rate) << i;
     EXPECT_EQ(a.amat, b.amat) << i;
 }
 
@@ -284,14 +289,11 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts)
 
 TEST(SweepRunner, MatchesLegacyAnalysisSweep)
 {
-    // The SweepRunner must agree with analysis::SweepCacheSize, the
-    // serial helper the benches used before the parallel engine.
+    // The SweepRunner must agree with analysis::SimulateCache, the serial
+    // per-cache helper the examples use, row by row.
     const std::vector<Record> records = SyntheticTrace(10000);
     cache::CacheConfig base{.block_bytes = 16, .assoc = 1};
     const std::vector<uint32_t> sizes = {1024, 4096, 16384, 65536};
-    const auto legacy =
-        analysis::SweepCacheSize(records, sizes, base, {});
-
     std::vector<SweepConfig> jobs;
     for (uint32_t size : sizes) {
         base.size_bytes = size;
@@ -299,9 +301,187 @@ TEST(SweepRunner, MatchesLegacyAnalysisSweep)
     }
     const auto results = SweepRunner(4).Run(records, jobs);
     for (size_t i = 0; i < sizes.size(); ++i) {
-        EXPECT_EQ(results[i].cache_stats.accesses, legacy[i].accesses) << i;
-        EXPECT_EQ(results[i].MissRate(), legacy[i].miss_rate) << i;
+        const cache::CacheStats legacy =
+            analysis::SimulateCache(records, jobs[i].cache, {});
+        EXPECT_EQ(results[i].cache_stats, legacy) << i;
+        EXPECT_EQ(results[i].MissRate(), legacy.MissRate()) << i;
     }
+}
+
+/**
+ * A randomised trace with everything the record filter sees: context
+ * switches among four processes, kernel and user references, ifetches,
+ * reads, writes, PTE references and non-memory markers. Each reference
+ * falls in a hot, warm or wide region, so stack depths from 0 to past 16
+ * all occur.
+ */
+std::vector<Record>
+DifferentialTrace(uint64_t seed, int refs)
+{
+    Rng rng(seed);
+    std::vector<Record> records;
+    uint16_t pid = 1;
+    records.push_back(MakeCtxSwitch(pid, 0));
+    for (int i = 0; i < refs; ++i) {
+        const uint32_t roll = rng.Below(100);
+        if (roll < 2) {
+            pid = static_cast<uint16_t>(1 + rng.Below(4));
+            records.push_back(MakeCtxSwitch(pid, 0));
+            continue;
+        }
+        if (roll < 4) {
+            records.push_back(trace::MakeTlbMiss(rng.Next32(), false));
+            continue;
+        }
+        Record r;
+        const bool kernel = rng.Below(4) == 0;
+        static constexpr uint32_t kSpans[] = {256, 4096, 1u << 16};
+        // Processes 1 and 3 share one user region, 2 and 4 another, so
+        // only a pid tag tells their blocks apart.
+        uint32_t addr = (kernel ? 0x80000000u : 0x10000u * (pid & 1)) +
+                        rng.Below(kSpans[rng.Below(3)]);
+        if (roll < 7) {
+            r.type = RecordType::kPte;
+            addr = 0x200000u + rng.Below(1024) * 4;
+        } else if (roll < 40) {
+            r.type = RecordType::kIFetch;
+        } else if (roll < 75) {
+            r.type = RecordType::kRead;
+        } else {
+            r.type = RecordType::kWrite;
+        }
+        r.addr = addr;
+        r.flags = MakeFlags(kernel, 4);
+        records.push_back(r);
+    }
+    return records;
+}
+
+/**
+ * Stack-eligible rows in groups of several associativities per set count,
+ * across block sizes, tags, write policies and record filters, with every
+ * kind of row the stack replay must leave to ReplayOne mixed in.
+ */
+std::vector<SweepConfig>
+DifferentialConfigs()
+{
+    struct Variant {
+        cache::DriverOptions driver;
+        bool pid_tags;
+        bool write_back;
+    };
+    std::vector<Variant> variants(6, {{}, false, true});
+    variants[1].pid_tags = true;
+    variants[2].write_back = false;
+    variants[3].driver.include_kernel = false;
+    variants[3].driver.include_pte = true;
+    variants[4].driver.include_ifetch = false;
+    variants[4].pid_tags = true;
+    variants[5].driver.only_pid = 2;
+
+    std::vector<SweepConfig> jobs;
+    for (const Variant& v : variants) {
+        for (uint32_t block : {4u, 16u, 64u}) {
+            for (uint32_t sets : {1u, 16u, 64u}) {
+                for (uint32_t assoc : {1u, 2u, 4u, 8u, 16u}) {
+                    jobs.push_back(MakeCacheJob(
+                        {.size_bytes = sets * block * assoc,
+                         .block_bytes = block,
+                         .assoc = assoc,
+                         .write_back = v.write_back,
+                         .pid_tags = v.pid_tags},
+                        v.driver));
+                }
+            }
+        }
+    }
+    // A duplicate row joins its twin's group.
+    jobs.push_back(jobs[7]);
+
+    const cache::CacheConfig base{.size_bytes = 4096, .block_bytes = 16,
+                                  .assoc = 4};
+    cache::CacheConfig c = base;
+    c.replacement = cache::Replacement::kFifo;
+    jobs.push_back(MakeCacheJob(c, {}, "fifo"));
+    c = base;
+    c.replacement = cache::Replacement::kRandom;
+    jobs.push_back(MakeCacheJob(c, {}, "random"));
+    c = base;
+    c.prefetch_next_on_miss = true;
+    jobs.push_back(MakeCacheJob(c, {}, "obl"));
+    cache::DriverOptions flushing;
+    flushing.flush_on_switch = true;
+    jobs.push_back(MakeCacheJob(base, flushing, "flush"));
+    c = base;
+    c.write_allocate = false;
+    jobs.push_back(MakeCacheJob(c, {}, "no-allocate"));
+    c = base;
+    c.assoc = 0;
+    jobs.push_back(MakeCacheJob(c, {}, "full"));
+    c = base;
+    c.assoc = 32;
+    jobs.push_back(MakeCacheJob(c, {}, "32-way"));
+    jobs.push_back(MakeHierarchyJob(cache::HierarchyConfig{}));
+    jobs.push_back(MakeTlbJob({.entries = 64}));
+    c = base;
+    c.size_bytes = 3000;
+    jobs.push_back(MakeCacheJob(c, {}, "bad-geometry"));
+    // Eligible again after the ineligible rows: groups span the sweep.
+    jobs.push_back(MakeCacheJob({.size_bytes = 2048, .block_bytes = 16,
+                                 .assoc = 2}));
+    return jobs;
+}
+
+TEST(StackReplay, EveryRowMatchesReplayOne)
+{
+    const std::vector<SweepConfig> jobs = DifferentialConfigs();
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        const std::vector<Record> records = DifferentialTrace(seed, 20000);
+        std::vector<SweepResult> oracle;
+        for (const SweepConfig& job : jobs)
+            oracle.push_back(ReplayOne(records, job));
+        for (unsigned threads : {1u, 4u}) {
+            const auto results = SweepRunner(threads).Run(records, jobs);
+            ASSERT_EQ(results.size(), jobs.size());
+            for (size_t i = 0; i < jobs.size(); ++i)
+                ExpectIdentical(results[i], oracle[i], i);
+        }
+        // The bad row errors only itself.
+        for (size_t i = 0; i < jobs.size(); ++i)
+            EXPECT_EQ(oracle[i].status.ok(), jobs[i].label != "bad-geometry")
+                << i;
+    }
+}
+
+TEST(StackReplay, WriteBackLeavesEachLevelOnce)
+{
+    // One set, 16-byte blocks: a 1-way and a 2-way cache share a stack.
+    // A is written, then B evicts it dirty from the 1-way level only.
+    // A is read back and evicted clean: no second write-back there. C
+    // finally pushes the still-dirty A out of the 2-way level.
+    auto ref = [](uint32_t addr, RecordType type) {
+        Record r;
+        r.addr = addr;
+        r.type = type;
+        r.flags = MakeFlags(false, 4);
+        return r;
+    };
+    const uint32_t a = 0x100, b = 0x200, c = 0x300;
+    const std::vector<Record> records = {
+        ref(a, RecordType::kWrite), ref(b, RecordType::kRead),
+        ref(a, RecordType::kRead),  ref(b, RecordType::kRead),
+        ref(c, RecordType::kRead)};
+    const std::vector<SweepConfig> jobs = {
+        MakeCacheJob({.size_bytes = 16, .block_bytes = 16, .assoc = 1}),
+        MakeCacheJob({.size_bytes = 32, .block_bytes = 16, .assoc = 2})};
+    const auto results = SweepRunner(1).Run(records, jobs);
+    for (size_t i = 0; i < jobs.size(); ++i)
+        ExpectIdentical(results[i], ReplayOne(records, jobs[i]), i);
+    EXPECT_EQ(results[0].cache_stats.misses, 5u);
+    EXPECT_EQ(results[0].cache_stats.writebacks, 1u);
+    EXPECT_EQ(results[1].cache_stats.misses, 3u);
+    EXPECT_EQ(results[1].cache_stats.writebacks, 1u);
+    EXPECT_EQ(results[1].cache_stats.write_misses, 1u);
 }
 
 TEST(SweepRunner, EmptyConfigListAndEmptyTrace)

@@ -183,6 +183,39 @@ TEST_F(SpansTest, PoolThreadsReuseRingsOfExitedThreads)
     EXPECT_EQ(SpanRingCountForTest(), 0u);
 }
 
+TEST_F(SpansTest, SweepSpansNameTheirPasses)
+{
+    // Three LRU rows with 64 sets share one stack pass; the FIFO row
+    // replays alone. sweep.run counts rows and passes, and the group's
+    // sweep.config span names its first row and its row count.
+    const std::vector<trace::Record> records(100);
+    std::vector<replay::SweepConfig> configs;
+    for (uint32_t assoc : {1u, 2u, 4u})
+        configs.push_back(replay::MakeCacheJob(
+            {.size_bytes = assoc << 10, .block_bytes = 16, .assoc = assoc}));
+    configs.push_back(replay::MakeCacheJob(
+        {.size_bytes = 1024, .replacement = cache::Replacement::kFifo},
+        {}, "fifo"));
+    replay::SweepRunner(2).Run(records, configs);
+
+    const SpanDump dump = CollectSpans();
+    ASSERT_EQ(dump.events.size(), 3u);
+    for (const SpanEvent& event : dump.events) {
+        if (std::string(event.name) == "sweep.run") {
+            EXPECT_STREQ(event.arg_name0, "configs");
+            EXPECT_EQ(event.arg0, 4u);
+            EXPECT_STREQ(event.arg_name1, "passes");
+            EXPECT_EQ(event.arg1, 2u);
+        } else if (event.detail == configs[0].label) {
+            EXPECT_STREQ(event.arg_name0, "rows");
+            EXPECT_EQ(event.arg0, 3u);
+        } else {
+            EXPECT_EQ(event.detail, configs[3].label);
+            EXPECT_EQ(event.arg0, 1u);
+        }
+    }
+}
+
 TEST_F(SpansTest, ChromeJsonGoldenSchema)
 {
     RecordSpan("tracer", "drain", 2000, 1500, "ep1", "records", 42,

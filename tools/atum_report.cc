@@ -321,16 +321,21 @@ Run(const Options& opts, io::Vfs& vfs)
 
     if (opts.have_cache) {
         ATUM_SPAN("report", "cache");
-        cache::Cache c(opts.cache_config);
-        cache::TraceCacheDriver driver(c, opts.driver_options);
-        for (const auto& r : records)
-            driver.Feed(r);
+        const replay::SweepResult r = replay::ReplayOne(
+            records,
+            replay::MakeCacheJob(opts.cache_config, opts.driver_options));
+        if (!r.status.ok())
+            Fatal(r.status.message());
+        // Name a fully associative cache by its way count, as Cache does.
+        cache::CacheConfig named = opts.cache_config;
+        if (named.assoc == 0)
+            named.assoc = named.size_bytes / named.block_bytes;
         std::printf("cache %s: accesses=%llu miss-rate=%.3f%% "
                     "writebacks=%llu\n",
-                    c.config().ToString().c_str(),
-                    static_cast<unsigned long long>(c.stats().accesses),
-                    100.0 * c.stats().MissRate(),
-                    static_cast<unsigned long long>(c.stats().writebacks));
+                    named.ToString().c_str(),
+                    static_cast<unsigned long long>(r.cache_stats.accesses),
+                    100.0 * r.cache_stats.MissRate(),
+                    static_cast<unsigned long long>(r.cache_stats.writebacks));
     }
 
     if (!opts.sweep_configs.empty()) {
